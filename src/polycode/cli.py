@@ -208,8 +208,8 @@ def cmd_conv(args) -> int:
             a = pad_to_multiple(a, args.m, ctx)
             b = pad_to_multiple(b, args.n, ctx)
     else:
-        a = rng.integers(0, ctx.q, size=args.m * args.s).astype(object)
-        b = rng.integers(0, ctx.q, size=args.n * args.s).astype(object)
+        a = rng.integers(0, ctx.q, size=args.m * args.s)
+        b = rng.integers(0, ctx.q, size=args.n * args.s)
     if len(a) // args.m != len(b) // args.n:
         raise PolycodeError("block lengths differ; inputs must split into equal blocks")
     shares = conv_encode(split_vector(a, args.m, ctx), split_vector(b, args.n, ctx), args.N, ctx)

@@ -23,8 +23,8 @@ from .matrixcore import FMatrix, ProblemShape
 from .schemes import PolyScheme, Scheme, WorkerResult, worker_compute
 from .sim import LatencyModel
 
-# Virtual cost of one decode multiply-accumulate. Keeps decode overhead in the
-# report deterministic while staying in the ballpark of interpreted numpy.
+# Modeled, not measured: the virtual cost of one decode multiply-accumulate.
+# A fixed constant keeps the decode time in RunReport deterministic.
 DECODE_SECONDS_PER_OP = 1e-7
 
 

@@ -1,9 +1,10 @@
 """Distributed convolution via the (1,1)-polynomial variant.
 
-Vectors are numpy object arrays of canonical ints in [0, q). Each worker
+Vectors are numpy int64 arrays of canonical entries in [0, q). Each worker
 stores one combined block of each input, convolves them locally, and the
 master interpolates the m+n-1 coefficient vectors and reassembles the output
-by overlap-add.
+by overlap-add. Encoding, the local convolution and interpolation are each one
+`mulmod` product.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from .errors import (
     TooManyWorkersForField,
 )
 from .field import FieldCtx, lagrange_weight_matrix
+from .matrixcore import canonical, mulmod
 
 
 def as_vector(values, ctx: FieldCtx):
-    arr = np.asarray(values, dtype=object).reshape(-1)
-    # Plain Python ints only: fixed-width numpy scalars would overflow.
-    return np.array([int(v) % ctx.q for v in arr], dtype=object)
+    return canonical(values, ctx.q).reshape(-1)
 
 
 def split_vector(vec, parts: int, ctx: FieldCtx) -> list:
@@ -44,11 +44,10 @@ def conv_direct(a, b, ctx: FieldCtx):
     b = as_vector(b, ctx)
     if len(a) == 0 or len(b) == 0:
         raise EmptyInput("convolution of an empty vector")
-    out = np.zeros(len(a) + len(b) - 1, dtype=object)
-    for i, av in enumerate(a):
-        if av:
-            out[i : i + len(b)] += av * b
-    return np.mod(out, ctx.q)
+    # Toeplitz matrix T[r, j] = a[r - j] (zero outside a), so T @ b = a * b.
+    pad = np.zeros(len(b) - 1, dtype=np.int64)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, a, pad]), len(b))
+    return mulmod(windows[:, ::-1], b[:, None], ctx.q)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -84,18 +83,13 @@ def conv_encode(a_blocks: list, b_blocks: list, big_n: int, ctx: FieldCtx, point
     pts = [p % ctx.q for p in pts]
     if len(set(pts)) != big_n:
         raise DuplicateEvaluationPoint("evaluation points must be distinct")
-    a_blocks = [as_vector(blk, ctx) for blk in a_blocks]
-    b_blocks = [as_vector(blk, ctx) for blk in b_blocks]
-    shares = []
-    for i, x in enumerate(pts):
-        a_t = np.zeros(s, dtype=object)
-        b_t = np.zeros(s, dtype=object)
-        for j, blk in enumerate(a_blocks):
-            a_t += blk * ctx.pow(x, j)
-        for j, blk in enumerate(b_blocks):
-            b_t += blk * ctx.pow(x, j)
-        shares.append(ConvShare(i, x, np.mod(a_t, ctx.q), np.mod(b_t, ctx.q)))
-    return shares
+
+    def encode(blocks):
+        gen = np.array([[ctx.pow(x, j) for j in range(len(blocks))] for x in pts], dtype=np.int64)
+        return mulmod(gen, np.stack([as_vector(blk, ctx) for blk in blocks]), ctx.q)
+
+    a_t, b_t = encode(a_blocks), encode(b_blocks)
+    return [ConvShare(i, x, a_t[i], b_t[i]) for i, x in enumerate(pts)]
 
 
 def conv_worker_compute(share: ConvShare, ctx: FieldCtx) -> ConvResult:
@@ -133,15 +127,14 @@ def conv_decode(results: list, m: int, n: int, ctx: FieldCtx):
     for r in picked:
         if len(r.value) != vlen:
             raise InvalidParameters("worker results must share one length")
-    weights = lagrange_weight_matrix(xs, ctx)
-    out = np.zeros(s * (m + n) - 1, dtype=object)
+    weights = np.array(lagrange_weight_matrix(xs, ctx), dtype=np.int64)
+    coeff_vecs = mulmod(weights, np.stack([as_vector(r.value, ctx) for r in picked]), ctx.q)
+    # Slots d and d+1 overlap, d and d+2 do not: each output sums at most two
+    # canonical entries, below 2q < 2**63.
+    out = np.zeros(s * (m + n) - 1, dtype=np.int64)
     for d in range(need):
-        coeff_vec = np.zeros(vlen, dtype=object)
-        for w, r in zip(weights[d], picked):
-            if w:
-                coeff_vec += w * np.asarray(r.value, dtype=object)
-        out[d * s : d * s + vlen] += coeff_vec
-    return np.mod(out, ctx.q)
+        out[d * s : d * s + vlen] += coeff_vecs[d]
+    return out % ctx.q
 
 
 def save_vector(vec, path, ctx: FieldCtx) -> None:
@@ -173,7 +166,7 @@ def pad_to_multiple(vec, parts: int, ctx: FieldCtx):
     vec = as_vector(vec, ctx)
     rem = len(vec) % parts
     if rem:
-        vec = np.concatenate([vec, np.zeros(parts - rem, dtype=object)])
+        vec = np.concatenate([vec, np.zeros(parts - rem, dtype=np.int64)])
     return vec
 
 

@@ -1,9 +1,10 @@
 """Prime-field arithmetic, polynomial interpolation, and Reed-Solomon decoding.
 
-Field elements are plain Python ints kept canonical in [0, q). Python's
-arbitrary-precision integers make every product exact, so the arithmetic is
-correct for any prime modulus that fits in memory (the contract only demands
-q up to 2**62).
+The modulus is a prime q < 2**62. Scalar field elements here are Python ints
+kept canonical in [0, q), so scalar products are exact; callers must pass
+Python ints, never fixed-width numpy scalars, which would wrap silently.
+Matrices of field elements are int64 arrays, multiplied exactly by
+`matrixcore.mulmod`, whose limb bounds need q < 2**62.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ class FieldCtx:
     def __init__(self, q: int = DEFAULT_Q):
         if q < 2 or not is_prime(q):
             raise InvalidParameters(f"modulus {q} is not prime")
+        # Canonical entries and the kernel's intermediate sums must fit in int64.
+        if q >= 1 << 62:
+            raise InvalidParameters(f"modulus {q} is not below 2**62")
         self.q = q
 
     def __repr__(self):

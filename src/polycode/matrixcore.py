@@ -1,8 +1,12 @@
-"""Dense matrices over F_q: column partitioning and the exact product A^T B.
+"""Dense matrices over F_q: column partitioning and exact products.
 
-Storage is a numpy object array of Python ints, so every intermediate is
-exact regardless of the modulus; numpy supplies the layout and the blocked
-matmul, the modulus is applied after each bulk operation.
+Entries are stored as canonical int64 in [0, q), with q < 2**62 (FieldCtx
+enforces it). Values from outside are reduced once, at the input boundary
+(`canonical`). Every block product, encode and erasure decode is a matrix
+product over F_q and runs through one kernel, `mulmod`: the operands are split
+into b-bit limbs, multiplied with float64 BLAS, which is exact while every
+partial sum stays below 2**53, and recombined mod q in int64 (the FFLAS-FFPACK
+approach of Dumas, Giorgi and Pernet).
 """
 
 from __future__ import annotations
@@ -20,21 +24,87 @@ from .errors import (
 )
 from .field import FieldCtx
 
+# Integers up to 2**53 are exact in float64.
+_EXACT_BITS = 53
+
+
+def canonical(values, q: int) -> np.ndarray:
+    """`values` reduced into [0, q), as an int64 array of the same shape.
+
+    Integer ndarrays that fit in int64 are reduced in numpy. Anything else
+    (nested lists, Python ints of any size, floats, objects) goes through
+    int(v) % q, so no value is wrapped or rounded in a fixed-width type
+    before it is reduced.
+    """
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    kind, size = arr.dtype.kind, arr.dtype.itemsize
+    if kind in "bi" or (kind == "u" and size < 8):
+        return np.mod(arr.astype(np.int64), q)
+    flat = [int(v) % q for v in arr.reshape(-1)]
+    return np.array(flat, dtype=np.int64).reshape(arr.shape)
+
+
+def _limbs(bits: int, k: int) -> tuple:
+    """Limb width b and limb count L for `bits`-bit entries at inner dimension k.
+
+    b is the widest width with k * (2**b - 1)**2 < 2**53, so a float64 product
+    of two limb matrices is exact; it is then narrowed to the smallest width
+    that still needs only L limbs.
+    """
+    k = max(k, 1)
+    width = min(bits, _EXACT_BITS // 2)
+    while k * ((1 << width) - 1) ** 2 >= 1 << _EXACT_BITS:
+        width -= 1
+    count = -(-bits // width)
+    return -(-bits // count), count
+
+
+def mulmod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
+    """Exact (x @ y) mod q for canonical int64 operands and q < 2**62.
+
+    Both operands are split into L limbs of b bits, x = sum_i 2**(b*i) x_i.
+    One float64 BLAS product of the stacked limbs yields every x_i @ y_j
+    exactly. Each goes to int64 before the diagonals
+    D_d = sum_{i+j=d} x_i @ y_j are summed, and Horner steps mod q
+    recombine sum_d 2**(b*d) D_d.
+    """
+    n, k = x.shape
+    p = y.shape[1]
+    bits = (q - 1).bit_length()
+    width, count = _limbs(bits, k)
+    shifts = np.arange(0, width * count, width, dtype=np.int64)[:, None, None]
+    mask = (1 << width) - 1
+    x_limbs = ((x[None] >> shifts) & mask).reshape(count * n, k)
+    y_limbs = ((y[None] >> shifts) & mask).transpose(1, 0, 2).reshape(k, count * p)
+    prods = (x_limbs.astype(np.float64) @ y_limbs.astype(np.float64)).astype(np.int64)
+    prods = prods.reshape(count, n, count, p).transpose(0, 2, 1, 3)
+    diags = np.zeros((2 * count - 1, n, p), dtype=np.int64)
+    for i in range(count):
+        diags[i : i + count] += prods[i]
+
+    # With acc < q, acc << step stays below 2**63 and acc << (step - 1) below
+    # 2**62. A diagonal is below L * 2**53 <= 2**59, so the last shift of
+    # each Horner step and the add fit in int64 before one reduction.
+    step = 63 - bits
+    acc = diags[-1] % q
+    for diag in diags[-2::-1]:
+        left = width
+        while left >= step:
+            acc = (acc << step) % q
+            left -= step
+        acc = ((acc << left) + diag) % q
+    return acc
+
 
 class FMatrix:
-    """Immutable dense matrix with canonical entries in [0, q)."""
+    """Immutable dense matrix with canonical int64 entries in [0, q)."""
 
     __slots__ = ("data", "ctx")
 
     def __init__(self, data, ctx: FieldCtx, _canonical: bool = False):
-        arr = np.asarray(data, dtype=object)
+        arr = np.asarray(data, dtype=np.int64) if _canonical else canonical(data, ctx.q)
         if arr.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D array, got ndim={arr.ndim}")
-        if not _canonical:
-            # Coerce to plain Python ints: fixed-width numpy scalars would
-            # silently overflow in exact field arithmetic.
-            flat = [int(v) % ctx.q for v in arr.reshape(-1)]
-            arr = np.array(flat, dtype=object).reshape(arr.shape)
         arr.flags.writeable = False
         self.data = arr
         self.ctx = ctx
@@ -60,12 +130,12 @@ class FMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int, ctx: FieldCtx) -> "FMatrix":
-        return cls(np.zeros((rows, cols), dtype=object), ctx, _canonical=True)
+        return cls(np.zeros((rows, cols), dtype=np.int64), ctx, _canonical=True)
 
     @classmethod
     def random(cls, rows: int, cols: int, ctx: FieldCtx, rng: np.random.Generator) -> "FMatrix":
         vals = rng.integers(0, ctx.q, size=(rows, cols), dtype=np.int64)
-        return cls(vals.astype(object), ctx, _canonical=True)
+        return cls(vals, ctx, _canonical=True)
 
     def digest(self) -> str:
         """Checksum of the canonical entries (hex), for run reports."""
@@ -73,7 +143,7 @@ class FMatrix:
 
         h = hashlib.sha256()
         h.update(f"{self.rows} {self.cols} {self.ctx.q}\n".encode())
-        h.update(" ".join(str(int(v)) for v in self.data.reshape(-1)).encode())
+        h.update(" ".join(map(str, self.data.reshape(-1).tolist())).encode())
         return h.hexdigest()
 
 
@@ -148,27 +218,34 @@ def transpose_mul(a: FMatrix, b: FMatrix) -> FMatrix:
         raise ShapeMismatch("operands live in different fields")
     if a.rows != b.rows:
         raise ShapeMismatch(f"row counts differ: {a.rows} vs {b.rows}")
-    prod = np.dot(a.data.T, b.data) % a.ctx.q
-    return FMatrix(prod, a.ctx, _canonical=True)
+    return FMatrix(mulmod(a.data.T, b.data, a.ctx.q), a.ctx, _canonical=True)
 
 
-def lincomb(blocks: list, coeffs: list) -> FMatrix:
-    """Entrywise sum of coeffs[j] * blocks[j] over F_q."""
+def combine(coeffs: list, blocks: list) -> list:
+    """One block sum_j coeffs[i][j] * blocks[j] over F_q per row i of coeffs.
+
+    Encoding (a generator times the input blocks) and erasure decoding
+    (interpolation weights or an inverse times the worker results) are such
+    maps, so each is one `mulmod` of coeffs with the stacked blocks.
+    """
     if not blocks:
-        raise EmptyInput("lincomb over an empty block list")
-    if len(blocks) != len(coeffs):
-        raise ShapeMismatch(f"{len(blocks)} blocks vs {len(coeffs)} coefficients")
+        raise EmptyInput("linear combination over an empty block list")
     ctx = blocks[0].ctx
     shape = blocks[0].data.shape
     for b in blocks:
         if b.data.shape != shape or b.ctx != ctx:
-            raise ShapeMismatch("lincomb blocks must share shape and field")
-    acc = np.zeros(shape, dtype=object)
-    for b, c in zip(blocks, coeffs):
-        c = int(c) % ctx.q
-        if c:
-            acc = acc + b.data * c
-    return FMatrix(acc % ctx.q, ctx, _canonical=True)
+            raise ShapeMismatch("combined blocks must share shape and field")
+    coef = canonical(coeffs, ctx.q)
+    if coef.ndim != 2 or coef.shape[1] != len(blocks):
+        raise ShapeMismatch(f"{len(blocks)} blocks vs coefficient rows of shape {coef.shape}")
+    stacked = np.stack([b.data for b in blocks]).reshape(len(blocks), -1)
+    out = mulmod(coef, stacked, ctx.q)
+    return [FMatrix(row.reshape(shape), ctx, _canonical=True) for row in out]
+
+
+def lincomb(blocks: list, coeffs: list) -> FMatrix:
+    """Entrywise sum of coeffs[j] * blocks[j] over F_q."""
+    return combine([coeffs], blocks)[0]
 
 
 def assemble_blocks(grid: list) -> FMatrix:

@@ -27,7 +27,7 @@ from .matrixcore import (
     FMatrix,
     ProblemShape,
     assemble_blocks,
-    lincomb,
+    combine,
     split_cols,
     transpose_mul,
 )
@@ -126,10 +126,14 @@ def systematic_generator(total: int, k: int, ctx: FieldCtx) -> list:
     return rows
 
 
-def _solve_block_system(gen_rows: list, blocks: list, ctx: FieldCtx) -> list:
-    """Solve sum_j gen_rows[i][j] * U_j = blocks[i] for the block unknowns U_j."""
-    inv = invert_matrix(gen_rows, ctx.q)
-    return [lincomb(blocks, row) for row in inv]
+def _solve_block_system(gen_rows: list, blocks: list, want_rows: list, ctx: FieldCtx) -> list:
+    """Blocks sum_j want_rows[i][j] * U_j, where the block unknowns U_j solve
+    sum_j gen_rows[i][j] * U_j = blocks[i]: one product of want_rows times
+    the inverse of gen_rows with the stacked blocks."""
+    q = ctx.q
+    inv = invert_matrix(gen_rows, q)
+    coeffs = [[sum(w * v for w, v in zip(row, col)) % q for col in zip(*inv)] for row in want_rows]
+    return combine(coeffs, blocks)
 
 
 class Scheme:
@@ -211,21 +215,14 @@ class PolyScheme(Scheme):
         self._check_inputs(a, b, shape)
         params = self._params(shape)
         pts = self._points(shape)
-        a_blocks = split_cols(a, shape.m)
-        b_blocks = split_cols(b, shape.n)
-        shares = []
-        for i, x in enumerate(pts):
-            a_coef = [self.ctx.pow(x, j * params.alpha) for j in range(shape.m)]
-            b_coef = [self.ctx.pow(x, k * params.beta) for k in range(shape.n)]
-            shares.append(
-                WorkerShare(
-                    worker_id=i,
-                    a_tilde=lincomb(a_blocks, a_coef),
-                    b_tilde=lincomb(b_blocks, b_coef),
-                    x=x,
-                )
-            )
-        return shares
+        a_gen = [[self.ctx.pow(x, j * params.alpha) for j in range(shape.m)] for x in pts]
+        b_gen = [[self.ctx.pow(x, k * params.beta) for k in range(shape.n)] for x in pts]
+        a_tilde = combine(a_gen, split_cols(a, shape.m))
+        b_tilde = combine(b_gen, split_cols(b, shape.n))
+        return [
+            WorkerShare(worker_id=i, a_tilde=a_tilde[i], b_tilde=b_tilde[i], x=x)
+            for i, x in enumerate(pts)
+        ]
 
     def decodable(self, responded: set, shape: ProblemShape) -> bool:
         return len(responded) >= self.required_results(shape)
@@ -239,12 +236,10 @@ class PolyScheme(Scheme):
         if len(set(xs)) != len(xs):
             raise DuplicateEvaluationPoint("duplicate evaluation points among results")
         weights = lagrange_weight_matrix(xs, self.ctx)
-        blocks = [r.c_tilde for r in picked]
         exps = params.exponents(shape.m, shape.n)
-        grid = [[None] * shape.n for _ in range(shape.m)]
-        for (j, k), e in exps.items():
-            grid[j][k] = lincomb(blocks, weights[e])
-        return assemble_blocks(grid)
+        coeffs = combine([weights[e] for e in exps.values()], [r.c_tilde for r in picked])
+        n = shape.n
+        return assemble_blocks([coeffs[j * n : (j + 1) * n] for j in range(shape.m)])
 
     def decode_with_errors(self, results: list, shares: list, shape: ProblemShape) -> FMatrix:
         """Entrywise Berlekamp-Welch over all N results; corrects up to
@@ -259,17 +254,15 @@ class PolyScheme(Scheme):
         e = (shape.N - k) // 2
         br, bc = shape.block_rows, shape.block_cols
         exps = params.exponents(shape.m, shape.n)
-        import numpy as np
-
-        coeff_grids = {
-            jk: np.empty((br, bc), dtype=object) for jk in exps
-        }
+        # Python ints: field.py arithmetic must never see fixed-width scalars.
+        values = [r.c_tilde.data.tolist() for r in ordered]
+        coeff_grids = {jk: [[0] * bc for _ in range(br)] for jk in exps}
         for u in range(br):
             for v in range(bc):
-                pts = [(x, int(r.c_tilde.data[u, v])) for x, r in zip(xs, ordered)]
+                pts = [(x, val[u][v]) for x, val in zip(xs, values)]
                 poly = bw_decode(pts, k, e, self.ctx)
                 for jk, d in exps.items():
-                    coeff_grids[jk][u, v] = poly.coeff(d)
+                    coeff_grids[jk][u][v] = poly.coeff(d)
         grid = [
             [FMatrix(coeff_grids[(j, kk)], self.ctx, _canonical=True) for kk in range(shape.n)]
             for j in range(shape.m)
@@ -304,20 +297,12 @@ class Mds1dScheme(Scheme):
         self._check_inputs(a, b, shape)
         g = self.group_size(shape)
         gen = systematic_generator(g, shape.m, self.ctx)
-        a_blocks = split_cols(a, shape.m)
+        a_codes = combine(gen, split_cols(a, shape.m))
         b_blocks = split_cols(b, shape.n)
-        shares = []
-        for i in range(shape.N):
-            grp, idx = divmod(i, g)
-            shares.append(
-                WorkerShare(
-                    worker_id=i,
-                    a_tilde=lincomb(a_blocks, gen[idx]),
-                    b_tilde=b_blocks[grp],
-                    group=grp,
-                )
-            )
-        return shares
+        return [
+            WorkerShare(worker_id=i, a_tilde=a_codes[i % g], b_tilde=b_blocks[i // g], group=i // g)
+            for i in range(shape.N)
+        ]
 
     def decodable(self, responded: set, shape: ProblemShape) -> bool:
         g = self.group_size(shape)
@@ -342,7 +327,8 @@ class Mds1dScheme(Scheme):
             if len(picked) < shape.m:
                 raise NotDecodable(f"group {grp} has only {len(picked)} results")
             rows = [gen[r.worker_id % g] for r in picked]
-            unknowns = _solve_block_system(rows, [r.c_tilde for r in picked], self.ctx)
+            # The unknowns are the systematic blocks, the identity rows of gen.
+            unknowns = _solve_block_system(rows, [r.c_tilde for r in picked], gen[: shape.m], self.ctx)
             for j in range(shape.m):
                 grid[j][grp] = unknowns[j]
         return assemble_blocks(grid)
@@ -378,10 +364,8 @@ class ProductScheme(Scheme):
         self._check_inputs(a, b, shape)
         side = self.grid_side(shape)
         gen = systematic_generator(side, shape.m, self.ctx)
-        a_blocks = split_cols(a, shape.m)
-        b_blocks = split_cols(b, shape.n)
-        a_codes = [lincomb(a_blocks, gen[c]) for c in range(side)]
-        b_codes = [lincomb(b_blocks, gen[r]) for r in range(side)]
+        a_codes = combine(gen, split_cols(a, shape.m))
+        b_codes = combine(gen, split_cols(b, shape.n))
         shares = []
         for i in range(shape.N):
             row, col = divmod(i, side)
@@ -448,20 +432,22 @@ class ProductScheme(Scheme):
             for r in range(side):
                 have = [c for c in range(side) if (r, c) in cells]
                 if m <= len(have) < side:
-                    rows = [gen[c] for c in have[:m]]
-                    unknowns = _solve_block_system(rows, [cells[(r, c)] for c in have[:m]], self.ctx)
-                    for c in range(side):
-                        if (r, c) not in cells:
-                            cells[(r, c)] = lincomb(unknowns, gen[c])
+                    missing = [c for c in range(side) if (r, c) not in cells]
+                    filled = _solve_block_system(
+                        [gen[c] for c in have[:m]], [cells[(r, c)] for c in have[:m]],
+                        [gen[c] for c in missing], self.ctx,
+                    )
+                    cells.update(((r, c), blk) for c, blk in zip(missing, filled))
                     changed = True
             for c in range(side):
                 have = [r for r in range(side) if (r, c) in cells]
                 if m <= len(have) < side:
-                    rows = [gen[r] for r in have[:m]]
-                    unknowns = _solve_block_system(rows, [cells[(r, c)] for r in have[:m]], self.ctx)
-                    for r in range(side):
-                        if (r, c) not in cells:
-                            cells[(r, c)] = lincomb(unknowns, gen[r])
+                    missing = [r for r in range(side) if (r, c) not in cells]
+                    filled = _solve_block_system(
+                        [gen[r] for r in have[:m]], [cells[(r, c)] for r in have[:m]],
+                        [gen[r] for r in missing], self.ctx,
+                    )
+                    cells.update(((r, c), blk) for r, blk in zip(missing, filled))
                     changed = True
         missing = [(r, c) for r in range(m) for c in range(m) if (r, c) not in cells]
         if missing:
@@ -627,20 +613,3 @@ def load_share(path, ctx: FieldCtx = None) -> WorkerShare:
         worker_id=worker_id, a_tilde=mats[0], b_tilde=mats[1], x=None if x < 0 else x
     )
 
-
-# Thin functional aliases matching the operation-level vocabulary.
-
-def poly_encode(a, b, shape, ctx, params=None, points=None):
-    return PolyScheme(ctx, params=params, points=points).encode(a, b, shape)
-
-
-def poly_decodable(responded, shape, ctx, params=None):
-    return PolyScheme(ctx, params=params).decodable(set(responded), shape)
-
-
-def poly_decode(results, shares, shape, ctx, params=None):
-    return PolyScheme(ctx, params=params).decode(results, shares, shape)
-
-
-def poly_decode_with_errors(results, shares, shape, ctx, params=None):
-    return PolyScheme(ctx, params=params).decode_with_errors(results, shares, shape)

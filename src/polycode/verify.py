@@ -108,8 +108,8 @@ def suite_conv(ctx: FieldCtx = None):
     ctx = ctx or FieldCtx()
     m, n, big_n, s = 3, 2, 7, 16
     rng = np.random.default_rng(11)
-    a = rng.integers(0, ctx.q, size=m * s).astype(object)
-    b = rng.integers(0, ctx.q, size=n * s).astype(object)
+    a = rng.integers(0, ctx.q, size=m * s)
+    b = rng.integers(0, ctx.q, size=n * s)
     oracle = conv_direct(a, b, ctx)
     shares = conv_encode(split_vector(a, m, ctx), split_vector(b, n, ctx), big_n, ctx)
     results = [conv_worker_compute(sh, ctx) for sh in shares]

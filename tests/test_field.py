@@ -40,6 +40,13 @@ class TestFieldCtx:
             with pytest.raises(InvalidParameters):
                 FieldCtx(bad)
 
+    def test_rejects_modulus_from_2_62(self):
+        # 2**62 + 135 is the first prime past the int64 bound of the kernel.
+        assert is_prime(2**62 + 135)
+        with pytest.raises(InvalidParameters):
+            FieldCtx(2**62 + 135)
+        assert FieldCtx(2**62 - 57).q == 2**62 - 57
+
     def test_is_prime_small(self):
         primes = {2, 3, 5, 7, 11, 13, 2147483647}
         for n in list(primes) + [15, 21, 25, 561, 2147483647 + 2]:

@@ -161,6 +161,25 @@ class TestLincomb:
             lincomb(blocks, [1, 1])
 
 
+class TestStorage:
+    def test_entries_are_canonical_int64(self):
+        m = FMatrix([[2**70, -1], [7, 2**63 + 1]], F7)
+        assert m.data.dtype == np.int64
+        assert m.data.tolist() == [[2**70 % 7, 6], [0, (2**63 + 1) % 7]]
+
+    def test_digest_pinned(self):
+        # Hex digests of the object-array storage this int64 storage replaced:
+        # run reports must keep printing the same checksums.
+        pinned = {
+            7: "8ea297dba4c221eb39e7f7041020b54b6d768b3fbd8fcfa1ba4d137e57c85dc8",
+            2147483647: "db995255deb45fbd9ab934933c4320f35f5d45b249a08915dec5abd7f1cc42cf",
+            2**61 - 1: "16380bc74c10dfc9c214298b31dfd5b9d653f266ddcafea8958b26a86b4cc559",
+        }
+        for q, want in pinned.items():
+            m = FMatrix.random(64, 64, FieldCtx(q), np.random.default_rng(20261017))
+            assert m.digest() == want
+
+
 class TestMatrixIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
