@@ -202,8 +202,10 @@ def run_with_faults(
 ):
     """Fault-tolerance setting: all N workers respond, `corrupt` of them lie.
 
-    Routes through the entrywise Berlekamp-Welch decoder; exact output up to
-    floor((N - mn)/2) corrupted workers, DecodingFailure beyond (detection).
+    Routes through `PolyScheme.decode_with_errors` at its default radius
+    t = floor((N - mn)/2): exact output up to t corrupted workers,
+    DecodingFailure up to N - mn - t. Beyond that a wrong product may be
+    returned.
     """
     if not isinstance(scheme, PolyScheme):
         raise InvalidParameters("fault-tolerant decoding is defined for the polynomial code")
@@ -212,10 +214,11 @@ def run_with_faults(
     if not corrupt <= set(range(shape.N)):
         raise InvalidParameters("corrupt ids must be worker ids in [0, N)")
     rng = np.random.default_rng(seed)
-    # One shared nonzero offset corrupts every entry of every faulty block.
-    # Past the correction radius (and short of N - mn faults) this pattern
-    # stays outside every candidate's acceptance region, so overload is
-    # detected rather than silently mis-corrected.
+    # One shared nonzero offset corrupts every entry of every faulty block: a
+    # convenient pattern, not a worst case. The faulty workers then agree on
+    # the codeword of (true polynomial + offset): with f >= N - t of them,
+    # that wrong codeword is returned. A coordinated pattern can do the same
+    # at any f > N - mn - t.
     offset = 1 + int(rng.integers(0, scheme.ctx.q - 1))
     shares = scheme.encode(a, b, shape)
     results = []

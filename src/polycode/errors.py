@@ -14,7 +14,11 @@ class DuplicateEvaluationPoint(PolycodeError):
 
 
 class DecodingFailure(PolycodeError):
-    """No codeword within the correction radius; corruption detected."""
+    """No codeword within the correction radius; corruption detected.
+
+    Its absence proves nothing beyond the radius: enough coordinated faults
+    move the received word within the radius of a wrong codeword.
+    """
 
 
 class InvalidParameters(PolycodeError):

@@ -264,8 +264,9 @@ def bw_decode(points: list, degree_bound: int, max_errors: int, ctx: FieldCtx) -
 
     Recovers the unique polynomial agreeing with at least N - max_errors of
     the N given (x, y) points; raises DecodingFailure when no such polynomial
-    exists (which serves as error detection for up to N - degree_bound
-    corrupted values).
+    exists. So up to max_errors corrupted values are corrected and up to
+    N - degree_bound - max_errors are detected; more can land within
+    max_errors of another polynomial, which is then returned.
     """
     q = ctx.q
     n = len(points)

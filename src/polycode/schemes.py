@@ -12,7 +12,10 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import (
+    DecodingFailure,
     DuplicateEvaluationPoint,
     InvalidCodeParams,
     InvalidParameters,
@@ -20,6 +23,7 @@ from .errors import (
     InvalidGrid,
     NotDecodable,
     NotEnoughResults,
+    PolycodeError,
     TooManyWorkersForField,
 )
 from .field import FieldCtx, bw_decode, invert_matrix, lagrange_weight_matrix
@@ -27,7 +31,9 @@ from .matrixcore import (
     FMatrix,
     ProblemShape,
     assemble_blocks,
+    canonical,
     combine,
+    mulmod,
     split_cols,
     transpose_mul,
 )
@@ -136,6 +142,55 @@ def _solve_block_system(gen_rows: list, blocks: list, want_rows: list, ctx: Fiel
     return combine(coeffs, blocks)
 
 
+# Seed of the random fold in `_interleaved_decode`. Its output never depends
+# on the fold, only whether the fast path applies; a fixed seed makes the work
+# done reproducible.
+_FOLD_SEED = 2017
+
+
+def _interleaved_decode(xs: list, received: np.ndarray, k: int, t: int, ctx: FieldCtx):
+    """Collaborative decoding of an interleaved Reed-Solomon word.
+
+    Row i of the N x E array `received` holds worker i's entries; each column
+    is a codeword of dimension k, and its errors sit at the faulty workers,
+    which all columns share. A random combination of the columns keeps those
+    error positions, so one Berlekamp-Welch solve on it locates them. The
+    first k rows it found correct then give every column's coefficients with
+    one weight product (Bleichenbacher, Kiayias and Yung, 2003).
+
+    Returns the k x E coefficients, lowest degree first, only if re-encoding
+    them agrees with every column at N - t workers or more: then each column
+    is the unique codeword within distance t, the one `_entrywise_decode`
+    returns. Otherwise returns None: the fold found no codeword, cancelled an
+    error, or the columns err at different workers.
+    """
+    q = ctx.q
+    rng = np.random.default_rng(_FOLD_SEED)
+    fold = rng.integers(0, q, size=(received.shape[1], 1), dtype=np.int64)
+    word = mulmod(received, fold, q)[:, 0].tolist()
+    try:
+        poly = bw_decode(list(zip(xs, word)), k, t, ctx)
+    except DecodingFailure:
+        return None
+    clean = [i for i, (x, w) in enumerate(zip(xs, word)) if poly.evaluate(x, ctx) == w][:k]
+    weights = lagrange_weight_matrix([xs[i] for i in clean], ctx)
+    coeffs = mulmod(canonical(weights, q), received[clean], q)
+    vander = canonical([[ctx.pow(x, d) for d in range(k)] for x in xs], q)
+    agree = (mulmod(vander, coeffs, q) == received).sum(axis=0)
+    return coeffs if (agree >= len(xs) - t).all() else None
+
+
+def _entrywise_decode(xs: list, received: np.ndarray, k: int, t: int, ctx: FieldCtx) -> np.ndarray:
+    """Reference decoder: one Berlekamp-Welch solve per column of `received`.
+
+    Returns the k x E coefficients, or raises DecodingFailure at the first
+    column with no codeword within distance t.
+    """
+    # Python ints: field.py arithmetic must never see fixed-width scalars.
+    polys = [bw_decode(list(zip(xs, col)), k, t, ctx).coeffs for col in received.T.tolist()]
+    return np.array(polys, dtype=np.int64).T
+
+
 class Scheme:
     """Common contract for the four computation strategies."""
 
@@ -241,33 +296,45 @@ class PolyScheme(Scheme):
         n = shape.n
         return assemble_blocks([coeffs[j * n : (j + 1) * n] for j in range(shape.m)])
 
-    def decode_with_errors(self, results: list, shares: list, shape: ProblemShape) -> FMatrix:
-        """Entrywise Berlekamp-Welch over all N results; corrects up to
-        floor((N - K)/2) corrupted workers and detects up to N - K."""
+    def decode_with_errors(
+        self, results: list, shares: list, shape: ProblemShape, max_errors: int = None
+    ) -> FMatrix:
+        """Decode from all N results when up to t = `max_errors` are wrong.
+
+        Each output entry is a Reed-Solomon codeword of length N and dimension
+        K = required_results. It decodes to the unique polynomial of degree
+        < K that agrees with at least N - t workers, the one entrywise
+        Berlekamp-Welch returns; DecodingFailure is raised when some entry
+        has none. t defaults to floor((N - K)/2), the largest value allowed;
+        a t outside [0, floor((N - K)/2)] raises InvalidParameters.
+
+        Up to t wrong workers are corrected, and up to N - K - t are detected
+        (DecodingFailure). More than N - K - t coordinated faults can put the
+        received word within t of a wrong codeword, which is then returned
+        silently. t = 0 is pure detection of up to N - K faulty workers.
+
+        A faulty worker corrupts its whole block, so all entries share one
+        set of error positions: the faulty workers are located once and the
+        entries decoded together (`_interleaved_decode`). Entry-by-entry
+        Berlekamp-Welch runs only when that result fails its check.
+        """
         params = self._params(shape)
         if len({r.worker_id for r in results}) != shape.N:
             raise NotEnoughResults("error decoding needs results from all N workers")
+        k = self.required_results(shape)
+        t = (shape.N - k) // 2 if max_errors is None else max_errors
         ordered = sorted(results, key=lambda r: r.worker_id)
         x_of = {s.worker_id: s.x for s in shares}
         xs = [x_of[r.worker_id] for r in ordered]
-        k = self.required_results(shape)
-        e = (shape.N - k) // 2
         br, bc = shape.block_rows, shape.block_cols
+        received = np.stack([r.c_tilde.data.reshape(br * bc) for r in ordered])
+        coeffs = _interleaved_decode(xs, received, k, t, self.ctx)
+        if coeffs is None:
+            coeffs = _entrywise_decode(xs, received, k, t, self.ctx)
         exps = params.exponents(shape.m, shape.n)
-        # Python ints: field.py arithmetic must never see fixed-width scalars.
-        values = [r.c_tilde.data.tolist() for r in ordered]
-        coeff_grids = {jk: [[0] * bc for _ in range(br)] for jk in exps}
-        for u in range(br):
-            for v in range(bc):
-                pts = [(x, val[u][v]) for x, val in zip(xs, values)]
-                poly = bw_decode(pts, k, e, self.ctx)
-                for jk, d in exps.items():
-                    coeff_grids[jk][u][v] = poly.coeff(d)
-        grid = [
-            [FMatrix(coeff_grids[(j, kk)], self.ctx, _canonical=True) for kk in range(shape.n)]
-            for j in range(shape.m)
-        ]
-        return assemble_blocks(grid)
+        grid = [[coeffs[exps[(j, kk)]].reshape(br, bc) for kk in range(shape.n)]
+                for j in range(shape.m)]
+        return FMatrix(np.block(grid), self.ctx, _canonical=True)
 
     def threshold(self, shape: ProblemShape) -> int:
         return self.required_results(shape)
@@ -536,7 +603,7 @@ def threshold_table(m: int, n: int, n_range, ctx: FieldCtx = None) -> list:
                     s=max(m, n), r=m, t=n, m=m, n=n, N=big_n, allow_wide=True
                 )
                 rows.append((big_n, name, threshold(name, shape, ctx)))
-            except Exception:
+            except PolycodeError:
                 continue
     return rows
 
@@ -553,8 +620,6 @@ def save_result(result: WorkerResult, path, x: int = -1) -> None:
 
 def load_result(path, ctx: FieldCtx = None):
     """Returns (WorkerResult, x_point); x_point is -1 for non-polynomial schemes."""
-    import numpy as np
-
     with open(path) as fh:
         header = fh.readline().split()
         tokens = fh.read().split()
@@ -587,8 +652,6 @@ def save_share(share: WorkerShare, path) -> None:
 
 
 def load_share(path, ctx: FieldCtx = None) -> WorkerShare:
-    import numpy as np
-
     with open(path) as fh:
         header = fh.readline().split()
         tokens = fh.read().split()

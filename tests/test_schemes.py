@@ -380,6 +380,16 @@ class TestThresholds:
         assert table["product"] == 280
         assert table["mds1d"] == 370
 
+    def test_threshold_table_propagates_foreign_errors(self, monkeypatch):
+        # Only PolycodeError means "scheme undefined at this N"; a bug inside
+        # a scheme's threshold must surface, not drop the row.
+        def broken(self, shape):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(PolyScheme, "threshold", broken)
+        with pytest.raises(ZeroDivisionError):
+            threshold_table(2, 2, [4])
+
 
 class TestShareResultIO:
     def test_share_round_trip(self, tmp_path):
