@@ -24,6 +24,7 @@ from .errors import (
     NotDecodable,
     NotEnoughResults,
     PolycodeError,
+    ShapeMismatch,
     TooManyWorkersForField,
 )
 from .field import FieldCtx, bw_decode, invert_matrix, lagrange_weight_matrix
@@ -327,6 +328,12 @@ class PolyScheme(Scheme):
         x_of = {s.worker_id: s.x for s in shares}
         xs = [x_of[r.worker_id] for r in ordered]
         br, bc = shape.block_rows, shape.block_cols
+        for r in ordered:
+            if r.c_tilde.data.shape != (br, bc):
+                raise ShapeMismatch(
+                    f"worker {r.worker_id} sent a {r.c_tilde.rows}x{r.c_tilde.cols} block, "
+                    f"expected {br}x{bc}"
+                )
         received = np.stack([r.c_tilde.data.reshape(br * bc) for r in ordered])
         coeffs = _interleaved_decode(xs, received, k, t, self.ctx)
         if coeffs is None:
@@ -484,6 +491,31 @@ class ProductScheme(Scheme):
         side = self.grid_side(shape)
         known = self._peel_known(responded, side, shape.m)
         return all((r, c) in known for r in range(shape.m) for c in range(shape.m))
+
+    def peel_latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
+        """Per-trial time at which peeling first recovers the systematic cells,
+        from a (trials, N) array of worker completion times.
+
+        A cell is known at the earliest of its own arrival and the m-th
+        smallest known time in its row or in its column. Iterating that rule
+        from the arrival times only lowers entries, and it stops at the
+        largest solution below them: the time at which `_peel_known` on the
+        workers done by then first holds each cell. Entries are always
+        arrival times, so the result is exact, ties included. The set-based
+        `decodable` stays for single calls on one grid, where it is faster.
+        """
+        side, m = self.grid_side(shape), shape.m
+        known = np.asarray(times, dtype=float).reshape(-1, side, side)
+        while True:
+            # `take` copies, so each partitioned grid is freed at once: the
+            # peak holds two grids, not five.
+            row_kth = np.partition(known, m - 1, axis=2).take(m - 1, axis=2)
+            col_kth = np.partition(known, m - 1, axis=1).take(m - 1, axis=1)
+            peeled = np.minimum(row_kth[:, :, None], col_kth[:, None, :])
+            np.minimum(peeled, known, out=peeled)
+            if np.array_equal(peeled, known):
+                return known[:, :m, :m].max(axis=(1, 2))
+            known = peeled
 
     def decode(self, results: list, shares: list, shape: ProblemShape) -> FMatrix:
         side = self.grid_side(shape)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DominanceViolation, InvalidModelParams, NeverDecodable
 from .field import FieldCtx
 from .matrixcore import ProblemShape
-from .schemes import Scheme, get_scheme
+from .schemes import SCHEME_NAMES, Scheme, get_scheme
 
 CCDF_GRID_POINTS = 200
 
@@ -44,29 +44,38 @@ class LatencyModel:
         else:
             raise InvalidModelParams(f"unknown latency model kind {self.kind!r}")
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, size, rng: np.random.Generator) -> np.ndarray:
+        """Completion times of the given array size (an int or a shape)."""
         if self.kind == "shifted_exponential":
-            return self.shift + rng.exponential(1.0 / self.rate, size=n)
+            return self.shift + rng.exponential(1.0 / self.rate, size=size)
         if self.kind == "deterministic":
-            return np.full(n, float(self.value))
-        return rng.choice(np.asarray(self.samples, dtype=float), size=n, replace=True)
+            return np.full(size, float(self.value))
+        return rng.choice(np.asarray(self.samples, dtype=float), size=size, replace=True)
 
 
 def sample_latency(model: LatencyModel, n: int, seed: int, trials: int) -> np.ndarray:
-    """trials x n matrix of worker completion times, reproducible by seed."""
+    """trials x n matrix of worker completion times, reproducible by seed.
+
+    One draw of shape (trials, n) reads the generator's stream in the order
+    that `trials` draws of n would, so the matrix equals stacking those rows.
+    """
     if trials < 1 or n < 1:
         raise InvalidModelParams("need trials >= 1 and n >= 1")
-    rng = np.random.default_rng(seed)
-    return np.vstack([model.sample(n, rng) for _ in range(trials)])
+    return model.sample((trials, n), np.random.default_rng(seed))
 
 
 def scheme_latency(scheme: Scheme, shape: ProblemShape, times) -> float:
-    """Earliest t at which the responded set {i : T_i <= t} is decodable."""
+    """Earliest t at which the responded set {i : T_i <= t} is decodable.
+
+    A worker with time +inf never answers.
+    """
     times = np.asarray(times, dtype=float)
     active = min(len(times), scheme.num_shares(shape))
     order = sorted(range(active), key=lambda i: (times[i], i))
     responded = set()
     for i in order:
+        if times[i] == math.inf:
+            break
         responded.add(i)
         if scheme.decodable(responded, shape):
             return float(times[i])
@@ -74,36 +83,31 @@ def scheme_latency(scheme: Scheme, shape: ProblemShape, times) -> float:
 
 
 def scheme_latency_batch(scheme: Scheme, shape: ProblemShape, samples: np.ndarray) -> np.ndarray:
-    """Per-trial latencies; vectorized for the order-statistic schemes."""
+    """Per-trial latencies, equal to `scheme_latency` on each row of samples.
+
+    Workers past the last column never answer (+inf). NeverDecodable is
+    raised if any trial cannot decode.
+    """
     samples = np.asarray(samples, dtype=float)
+    if scheme.name not in SCHEME_NAMES:
+        return np.array([scheme_latency(scheme, shape, row) for row in samples])
+    active = scheme.num_shares(shape)
+    samples = samples[:, :active]
+    if samples.shape[1] < active:
+        missing = ((0, 0), (0, active - samples.shape[1]))
+        samples = np.pad(samples, missing, constant_values=math.inf)
     if scheme.name == "poly":
-        k = scheme.threshold(shape)
-        return np.sort(samples, axis=1)[:, k - 1]
-    if scheme.name == "uncoded":
-        return samples[:, : shape.m * shape.n].max(axis=1)
-    if scheme.name == "mds1d":
-        g = scheme.group_size(shape)
-        groups = samples[:, : shape.N].reshape(samples.shape[0], shape.n, g)
+        out = np.sort(samples, axis=1)[:, scheme.threshold(shape) - 1]
+    elif scheme.name == "uncoded":
+        out = samples.max(axis=1)
+    elif scheme.name == "mds1d":
+        groups = samples.reshape(samples.shape[0], shape.n, scheme.group_size(shape))
         # each group needs its m-th fastest; the slowest group gates the decode
-        kth = np.sort(groups, axis=2)[:, :, shape.m - 1]
-        return kth.max(axis=1)
-    # Generic schemes: the responded set grows with t and decodability is
-    # monotone, so binary-search the arrival prefix per trial.
-    out = np.empty(samples.shape[0])
-    active = min(samples.shape[1], scheme.num_shares(shape))
-    for row_idx in range(samples.shape[0]):
-        times = samples[row_idx]
-        order = sorted(range(active), key=lambda i: (times[i], i))
-        lo, hi = 1, active
-        if not scheme.decodable(set(order), shape):
-            raise NeverDecodable(f"{scheme.name} cannot decode even with all workers")
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if scheme.decodable(set(order[:mid]), shape):
-                hi = mid
-            else:
-                lo = mid + 1
-        out[row_idx] = times[order[lo - 1]]
+        out = np.sort(groups, axis=2)[:, :, shape.m - 1].max(axis=1)
+    else:
+        out = scheme.peel_latency(samples, shape)
+    if (out == math.inf).any():
+        raise NeverDecodable(f"{scheme.name} cannot decode even with all workers")
     return out
 
 

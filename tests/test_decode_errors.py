@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode import schemes
-from polycode.errors import DecodingFailure, InvalidParameters, PolycodeError
+from polycode.errors import DecodingFailure, InvalidParameters, PolycodeError, ShapeMismatch
 from polycode.field import FieldCtx, bw_decode
 from polycode.matrixcore import FMatrix, ProblemShape, assemble_blocks, transpose_mul
 from polycode.schemes import CodeParams, PolyScheme, WorkerResult, worker_compute
@@ -245,3 +245,16 @@ def test_max_errors_range():
     for t in (-1, 5):
         with pytest.raises(InvalidParameters):
             scheme.decode_with_errors(results, shares, SHAPE12, max_errors=t)
+
+
+@pytest.mark.parametrize("bad", [(1, 4), (4, 2)])
+def test_wrong_block_shape_is_rejected(bad):
+    # Blocks are 2x4. A 1x4 block has the wrong size; a 4x2 block has the
+    # right size and would otherwise be read row-major as a 2x4 one.
+    shape = ProblemShape(s=4, r=4, t=8, m=2, n=2, N=12)
+    scheme = PolyScheme(BIG)
+    shares, results, _ = instance(scheme, shape, np.random.default_rng(7))
+    data = np.arange(bad[0] * bad[1], dtype=np.int64).reshape(bad)
+    results[3] = WorkerResult(3, FMatrix(data, BIG))
+    with pytest.raises(ShapeMismatch):
+        scheme.decode_with_errors(results, shares, shape)

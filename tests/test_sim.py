@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polycode.errors import DominanceViolation, InvalidModelParams
+from polycode.errors import DominanceViolation, InvalidModelParams, NeverDecodable
 from polycode.field import FieldCtx
 from polycode.matrixcore import ProblemShape
-from polycode.schemes import get_scheme
+from polycode.schemes import Scheme, get_scheme
 from polycode.sim import (
     LatencyModel,
     ccdf_table,
@@ -17,6 +19,27 @@ from polycode.sim import (
 )
 
 BIG = FieldCtx()
+# One model of each kind; the empirical and deterministic ones give ties.
+MODELS = (
+    LatencyModel(),
+    LatencyModel(kind="empirical", samples=(1.0, 2.0, 2.0, 5.0)),
+    LatencyModel(kind="deterministic", value=3.0),
+)
+
+
+def per_row(scheme, shape, samples):
+    """scheme_latency on every row, NeverDecodable if any row raises it."""
+    try:
+        return [scheme_latency(scheme, shape, row) for row in samples]
+    except NeverDecodable:
+        return NeverDecodable
+
+
+def batch(scheme, shape, samples):
+    try:
+        return scheme_latency_batch(scheme, shape, samples).tolist()
+    except NeverDecodable:
+        return NeverDecodable
 
 
 class TestLatencyModel:
@@ -93,12 +116,63 @@ class TestSchemeLatency:
             "mds1d": ProblemShape(s=8, r=4, t=4, m=2, n=2, N=6),
             "product": ProblemShape(s=8, r=4, t=4, m=2, n=2, N=9),
         }
+        # Latencies are order statistics of the samples, so they are equal.
+        # Dropping columns removes workers; extra columns are not workers.
         for name, shape in shapes.items():
             scheme = get_scheme(name, BIG)
-            samples = sample_latency(LatencyModel(), shape.N, seed=3, trials=64)
-            batch = scheme_latency_batch(scheme, shape, samples)
-            for row, want in zip(samples, batch):
-                assert scheme_latency(scheme, shape, row) == pytest.approx(want)
+            full = sample_latency(LatencyModel(), shape.N + 2, seed=3, trials=64)
+            for cols in (shape.N + 2, shape.N, shape.N - 1, 1):
+                samples = full[:, :cols]
+                want = per_row(scheme, shape, samples)
+                assert batch(scheme, shape, samples) == want
+            assert batch(scheme, shape, full[:, :1]) is NeverDecodable
+            assert batch(scheme, shape, full[:, : shape.N]) is not NeverDecodable
+
+    def test_scheme_without_batch_rule_runs_the_scalar_path(self):
+        class FirstTwo(Scheme):
+            name = "first_two"
+
+            def decodable(self, responded, shape):
+                return len(responded) >= 2
+
+        scheme = FirstTwo(BIG)
+        samples = sample_latency(LatencyModel(), 5, seed=4, trials=16)
+        want = np.sort(samples, axis=1)[:, 1].tolist()
+        assert batch(scheme, self.SHAPE5, samples) == want == per_row(scheme, self.SHAPE5, samples)
+        assert batch(scheme, self.SHAPE5, samples[:, :1]) is NeverDecodable
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    side=st.integers(1, 10),
+    model=st.sampled_from(MODELS),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_product_peel_latency_equals_scalar_path(side, model, seed, data):
+    # The fixed point against arrival-by-arrival set peeling, compared
+    # exactly. Fewer columns than side^2 leave workers out, which can make a
+    # trial never decodable; both paths must then raise NeverDecodable.
+    m = data.draw(st.integers(1, side), label="m")
+    cols = data.draw(st.one_of(st.just(side * side), st.integers(0, side * side - 1)), label="cols")
+    shape = ProblemShape(s=m, r=m, t=m, m=m, n=m, N=side * side)
+    scheme = get_scheme("product", BIG)
+    samples = sample_latency(model, side * side, seed, trials=6)[:, :cols]
+    assert batch(scheme, shape, samples) == per_row(scheme, shape, samples)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    model=st.sampled_from(MODELS + (LatencyModel(kind="empirical", samples=(0.5,) * 300 + (9.0,)),)),
+    n=st.integers(1, 70),
+    trials=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_latency_is_the_per_trial_stream(model, n, trials, seed):
+    # `polycode sim` outputs and every seeded sample depend on this order.
+    rng = np.random.default_rng(seed)
+    rows = np.vstack([model.sample(n, rng) for _ in range(trials)])
+    assert np.array_equal(sample_latency(model, n, seed, trials), rows)
 
 
 class TestCcdf:
