@@ -13,16 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DuplicateEvaluationPoint,
-    EmptyInput,
-    InvalidParameters,
-    NonDivisiblePartition,
-    NotEnoughResults,
-    TooManyWorkersForField,
-)
+from .errors import EmptyInput, InvalidParameters, NonDivisiblePartition
 from .field import FieldCtx, lagrange_weight_matrix
 from .matrixcore import canonical, mulmod
+from .schemes import _evaluation_points, _select_lowest, _vandermonde
 
 
 def as_vector(values, ctx: FieldCtx):
@@ -75,17 +69,10 @@ def conv_encode(a_blocks: list, b_blocks: list, big_n: int, ctx: FieldCtx, point
     for blk in list(a_blocks) + list(b_blocks):
         if len(blk) != s:
             raise InvalidParameters("all blocks must share the same length")
-    if big_n > ctx.q:
-        raise TooManyWorkersForField(f"N={big_n} exceeds field size q={ctx.q}")
-    pts = points if points is not None else list(range(big_n))
-    if len(pts) != big_n:
-        raise InvalidParameters(f"{len(pts)} points for N={big_n} workers")
-    pts = [p % ctx.q for p in pts]
-    if len(set(pts)) != big_n:
-        raise DuplicateEvaluationPoint("evaluation points must be distinct")
+    pts = _evaluation_points(points, big_n, ctx)
 
     def encode(blocks):
-        gen = np.array([[ctx.pow(x, j) for j in range(len(blocks))] for x in pts], dtype=np.int64)
+        gen = _vandermonde(pts, range(len(blocks)), ctx)
         return mulmod(gen, np.stack([as_vector(blk, ctx) for blk in blocks]), ctx.q)
 
     a_t, b_t = encode(a_blocks), encode(b_blocks)
@@ -105,21 +92,8 @@ def conv_decode(results: list, m: int, n: int, ctx: FieldCtx):
     d*s .. d*s + 2s - 2.
     """
     need = m + n - 1
-    ordered = sorted(results, key=lambda r: r.worker_id)
-    seen = set()
-    picked = []
-    for r in ordered:
-        if r.worker_id in seen:
-            continue
-        seen.add(r.worker_id)
-        picked.append(r)
-        if len(picked) == need:
-            break
-    if len(picked) < need:
-        raise NotEnoughResults(f"need {need} distinct results, got {len(picked)}")
-    xs = [r.x % ctx.q for r in picked]
-    if len(set(xs)) != need:
-        raise DuplicateEvaluationPoint("duplicate evaluation points among results")
+    picked = _select_lowest(results, need)
+    weights = np.array(lagrange_weight_matrix([r.x % ctx.q for r in picked], ctx), dtype=np.int64)
     vlen = len(picked[0].value)
     if vlen % 2 != 1:
         raise InvalidParameters("worker results must have odd length 2s-1")
@@ -127,7 +101,6 @@ def conv_decode(results: list, m: int, n: int, ctx: FieldCtx):
     for r in picked:
         if len(r.value) != vlen:
             raise InvalidParameters("worker results must share one length")
-    weights = np.array(lagrange_weight_matrix(xs, ctx), dtype=np.int64)
     coeff_vecs = mulmod(weights, np.stack([as_vector(r.value, ctx) for r in picked]), ctx.q)
     # Slots d and d+1 overlap, d and d+2 do not: each output sums at most two
     # canonical entries, below 2q < 2**63.

@@ -183,18 +183,17 @@ def interpolate(points: list, ctx: FieldCtx) -> Poly:
     return Poly(coeffs)
 
 
-def solve_linear(rows: list, q: int):
-    """Gaussian elimination mod q on an augmented matrix.
+def _row_reduce(rows: list, ncols: int, q: int) -> list:
+    """Gauss-Jordan elimination mod q on the first `ncols` columns, in place.
 
-    Returns a particular solution (free variables set to 0), or None when the
-    system is inconsistent. `rows` is modified in place.
+    Returns the pivot columns in order: row i ends with a 1 at pivots[i] and
+    zeros elsewhere in that column. Columns with no pivot are skipped.
     """
-    if not rows:
-        return []
-    ncols = len(rows[0]) - 1
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         pivot = next((i for i in range(r, len(rows)) if rows[i][c] % q != 0), None)
         if pivot is None:
             continue
@@ -206,15 +205,24 @@ def solve_linear(rows: list, q: int):
                 f = rows[i][c]
                 rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][ncols] % q != 0:
-            return None
+    return pivots
+
+
+def solve_linear(rows: list, q: int):
+    """Gaussian elimination mod q on an augmented matrix.
+
+    Returns a particular solution (free variables set to 0), or None when the
+    system is inconsistent. `rows` is modified in place.
+    """
+    if not rows:
+        return []
+    ncols = len(rows[0]) - 1
+    pivots = _row_reduce(rows, ncols, q)
+    if any(row[ncols] % q != 0 for row in rows[len(pivots):]):
+        return None
     sol = [0] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols]
+    for row, c in zip(rows, pivots):
+        sol[c] = row[ncols]
     return sol
 
 
@@ -222,19 +230,8 @@ def invert_matrix(mat: list, q: int) -> list:
     """Inverse of a square matrix over F_q; raises if singular."""
     k = len(mat)
     aug = [list(row) + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(mat)]
-    r = 0
-    for c in range(k):
-        pivot = next((i for i in range(r, k) if aug[i][c] % q != 0), None)
-        if pivot is None:
-            raise InvalidParameters("singular matrix")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], q - 2, q)
-        aug[r] = [v * inv % q for v in aug[r]]
-        for i in range(k):
-            if i != r and aug[i][c] % q != 0:
-                f = aug[i][c]
-                aug[i] = [(a - f * b) % q for a, b in zip(aug[i], aug[r])]
-        r += 1
+    if len(_row_reduce(aug, k, q)) < k:
+        raise InvalidParameters("singular matrix")
     return [row[k:] for row in aug]
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -108,28 +107,44 @@ def _select_lowest(results: list, count: int) -> list:
     raise NotEnoughResults(f"need {count} distinct results, got {len(picked)}")
 
 
-def systematic_generator(total: int, k: int, ctx: FieldCtx) -> list:
-    """Systematic (total, k) MDS generator: identity then Vandermonde rows.
+def _evaluation_points(points: list, big_n: int, ctx: FieldCtx) -> list:
+    """The N distinct evaluation points mod q, 0..N-1 unless given."""
+    if big_n > ctx.q:
+        raise TooManyWorkersForField(f"N={big_n} exceeds field size q={ctx.q}")
+    pts = points if points is not None else list(range(big_n))
+    if len(pts) != big_n:
+        raise InvalidParameters(f"{len(pts)} points for N={big_n} workers")
+    pts = [p % ctx.q for p in pts]
+    if len(set(pts)) != len(pts):
+        raise DuplicateEvaluationPoint("evaluation points must be distinct")
+    return pts
 
-    Parity row p evaluates at point p + 1, so a single-parity code gets the
-    all-ones row of the textbook examples. The MDS property (every k-subset of
-    rows invertible) is verified exhaustively when cheap; a singular subset at
-    decode time still raises.
+
+def _vandermonde(xs: list, exps, ctx: FieldCtx) -> np.ndarray:
+    """Row i holds x_i**e for each exponent e: the generator of an evaluation code."""
+    return canonical([[ctx.pow(x, e) for e in exps] for x in xs], ctx.q)
+
+
+def systematic_generator(total: int, k: int, ctx: FieldCtx) -> list:
+    """Systematic (total, k) MDS generator [I; C] with C a Cauchy matrix.
+
+    C[i][j] = 1 / (x_i - y_j) at y_j = j and x_i = k + i, with its rows and
+    columns scaled so that its first row and first column are all ones; a
+    single-parity code thus gets the all-ones row of the textbook examples.
+    Every square submatrix of a Cauchy matrix is nonsingular, and nonzero
+    scaling keeps that, so every k rows of [I; C] are invertible: the code is
+    MDS by construction (Cauchy Reed-Solomon; Blömer et al., ICSI TR-95-048).
+    The points 0..total-1 must be distinct in F_q, so total <= q; a larger
+    total raises TooManyWorkersForField.
     """
     if k < 1 or total < k:
         raise InvalidParameters(f"generator needs total >= k >= 1, got ({total}, {k})")
+    if total > ctx.q:
+        raise TooManyWorkersForField(f"{total} coded blocks exceed field size q={ctx.q}")
     rows = [[1 if c == j else 0 for c in range(k)] for j in range(k)]
-    for p in range(total - k):
-        x = (p + 1) % ctx.q
-        rows.append([ctx.pow(x, c) for c in range(k)])
-    if math.comb(total, k) <= 2048:
-        for subset in combinations(range(total), k):
-            try:
-                invert_matrix([rows[i] for i in subset], ctx.q)
-            except InvalidParameters:
-                raise InvalidParameters(
-                    f"generator subset {subset} singular over q={ctx.q}; pick a larger field"
-                )
+    # Scaled entry C[i][j] C[0][0] / (C[0][j] C[i][0]) = (k-j)(k+i) / ((k+i-j) k).
+    for i in range(total - k):
+        rows.append([(k - j) * (k + i) * ctx.inv((k + i - j) * k) % ctx.q for j in range(k)])
     return rows
 
 
@@ -176,7 +191,7 @@ def _interleaved_decode(xs: list, received: np.ndarray, k: int, t: int, ctx: Fie
     clean = [i for i, (x, w) in enumerate(zip(xs, word)) if poly.evaluate(x, ctx) == w][:k]
     weights = lagrange_weight_matrix([xs[i] for i in clean], ctx)
     coeffs = mulmod(canonical(weights, q), received[clean], q)
-    vander = canonical([[ctx.pow(x, d) for d in range(k)] for x in xs], q)
+    vander = _vandermonde(xs, range(k), ctx)
     agree = (mulmod(vander, coeffs, q) == received).sum(axis=0)
     return coeffs if (agree >= len(xs) - t).all() else None
 
@@ -244,23 +259,12 @@ class PolyScheme(Scheme):
         p.validate(shape.m, shape.n)
         return p
 
-    def _points(self, shape: ProblemShape) -> list:
-        if shape.N > self.ctx.q:
-            raise TooManyWorkersForField(f"N={shape.N} exceeds field size q={self.ctx.q}")
-        pts = self.points if self.points is not None else list(range(shape.N))
-        if len(pts) != shape.N:
-            raise InvalidParameters(f"{len(pts)} points for N={shape.N} workers")
-        pts = [p % self.ctx.q for p in pts]
-        if len(set(pts)) != len(pts):
-            raise DuplicateEvaluationPoint("evaluation points must be distinct")
-        return pts
-
     def required_results(self, shape: ProblemShape) -> int:
         return self._params(shape).degree(shape.m, shape.n) + 1
 
     def validate(self, shape: ProblemShape) -> None:
         self._params(shape)
-        self._points(shape)
+        _evaluation_points(self.points, shape.N, self.ctx)
         if shape.N < self.required_results(shape):
             raise InvalidParameters(
                 f"N={shape.N} below the polynomial code threshold "
@@ -270,9 +274,9 @@ class PolyScheme(Scheme):
     def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> list:
         self._check_inputs(a, b, shape)
         params = self._params(shape)
-        pts = self._points(shape)
-        a_gen = [[self.ctx.pow(x, j * params.alpha) for j in range(shape.m)] for x in pts]
-        b_gen = [[self.ctx.pow(x, k * params.beta) for k in range(shape.n)] for x in pts]
+        pts = _evaluation_points(self.points, shape.N, self.ctx)
+        a_gen = _vandermonde(pts, [j * params.alpha for j in range(shape.m)], self.ctx)
+        b_gen = _vandermonde(pts, [k * params.beta for k in range(shape.n)], self.ctx)
         a_tilde = combine(a_gen, split_cols(a, shape.m))
         b_tilde = combine(b_gen, split_cols(b, shape.n))
         return [
@@ -288,10 +292,7 @@ class PolyScheme(Scheme):
         need = self.required_results(shape)
         picked = _select_lowest(results, need)
         x_of = {s.worker_id: s.x for s in shares}
-        xs = [x_of[r.worker_id] for r in picked]
-        if len(set(xs)) != len(xs):
-            raise DuplicateEvaluationPoint("duplicate evaluation points among results")
-        weights = lagrange_weight_matrix(xs, self.ctx)
+        weights = lagrange_weight_matrix([x_of[r.worker_id] for r in picked], self.ctx)
         exps = params.exponents(shape.m, shape.n)
         coeffs = combine([weights[e] for e in exps.values()], [r.c_tilde for r in picked])
         n = shape.n
@@ -453,44 +454,49 @@ class ProductScheme(Scheme):
             )
         return shares
 
-    def _peel_known(self, responded: set, side: int, m: int) -> set:
-        """Cells derivable from the responded set by row/column peeling.
+    def _peel_known(self, responded: set, side: int, m: int) -> tuple:
+        """Workers whose cells are derivable from the responded set by
+        row/column peeling, and the schedule that derives them.
 
-        A row (or column) with at least m known cells decodes fully; completed
-        lines are propagated with a work queue, O(side^2) overall.
+        Worker i holds cell divmod(i, side). A row (or column) with at least m
+        known cells decodes fully; completed lines are propagated with a work
+        queue, O(side^2) overall. The schedule lists, in order, each line that
+        gained cells, as the range of its `side` worker ids: position j of a
+        line is coded by generator row j.
         """
-        known = {divmod(i, side) for i in responded}
+        known = set(responded)
         row_count = [0] * side
         col_count = [0] * side
-        for r, c in known:
-            row_count[r] += 1
-            col_count[c] += 1
-        stack = [("r", r) for r in range(side) if row_count[r] >= m]
-        stack += [("c", c) for c in range(side) if col_count[c] >= m]
+        for i in known:
+            row_count[i // side] += 1
+            col_count[i % side] += 1
+        stack = [range(r * side, (r + 1) * side) for r in range(side) if row_count[r] >= m]
+        stack += [range(c, side * side, side) for c in range(side) if col_count[c] >= m]
+        order = []
         while stack:
-            kind, idx = stack.pop()
-            if kind == "r":
-                for c in range(side):
-                    if (idx, c) not in known:
-                        known.add((idx, c))
-                        row_count[idx] += 1
-                        col_count[c] += 1
-                        if col_count[c] == m:
-                            stack.append(("c", c))
-            else:
-                for r in range(side):
-                    if (r, idx) not in known:
-                        known.add((r, idx))
-                        row_count[r] += 1
-                        col_count[idx] += 1
-                        if row_count[r] == m:
-                            stack.append(("r", r))
-        return known
+            line = stack.pop()
+            if known.issuperset(line):
+                continue
+            order.append(line)
+            # The completed line's own count is already >= m, so only the
+            # crossing lines can reach m here.
+            for i in line:
+                if i in known:
+                    continue
+                known.add(i)
+                r, c = divmod(i, side)
+                row_count[r] += 1
+                col_count[c] += 1
+                if row_count[r] == m:
+                    stack.append(range(r * side, (r + 1) * side))
+                if col_count[c] == m:
+                    stack.append(range(c, side * side, side))
+        return known, order
 
     def decodable(self, responded: set, shape: ProblemShape) -> bool:
         side = self.grid_side(shape)
-        known = self._peel_known(responded, side, shape.m)
-        return all((r, c) in known for r in range(shape.m) for c in range(shape.m))
+        known, _ = self._peel_known(responded, side, shape.m)
+        return all(r * side + c in known for r in range(shape.m) for c in range(shape.m))
 
     def peel_latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
         """Per-trial time at which peeling first recovers the systematic cells,
@@ -522,37 +528,25 @@ class ProductScheme(Scheme):
         m = shape.m
         gen = systematic_generator(side, m, self.ctx)
         cells = {}
-        for res in sorted(results, key=lambda r: r.worker_id):
-            pos = divmod(res.worker_id, side)
-            cells.setdefault(pos, res.c_tilde)
-        changed = True
-        while changed:
-            changed = False
-            for r in range(side):
-                have = [c for c in range(side) if (r, c) in cells]
-                if m <= len(have) < side:
-                    missing = [c for c in range(side) if (r, c) not in cells]
-                    filled = _solve_block_system(
-                        [gen[c] for c in have[:m]], [cells[(r, c)] for c in have[:m]],
-                        [gen[c] for c in missing], self.ctx,
-                    )
-                    cells.update(((r, c), blk) for c, blk in zip(missing, filled))
-                    changed = True
-            for c in range(side):
-                have = [r for r in range(side) if (r, c) in cells]
-                if m <= len(have) < side:
-                    missing = [r for r in range(side) if (r, c) not in cells]
-                    filled = _solve_block_system(
-                        [gen[r] for r in have[:m]], [cells[(r, c)] for r in have[:m]],
-                        [gen[r] for r in missing], self.ctx,
-                    )
-                    cells.update(((r, c), blk) for r, blk in zip(missing, filled))
-                    changed = True
-        missing = [(r, c) for r in range(m) for c in range(m) if (r, c) not in cells]
+        for res in results:
+            # A result from outside the grid holds no cell; it is ignored.
+            if 0 <= res.worker_id < shape.N:
+                cells.setdefault(res.worker_id, res.c_tilde)
+        # Replay the peeling schedule: each line's missing cells are solved
+        # from its first m known cells.
+        for line in self._peel_known(set(cells), side, m)[1]:
+            have = [j for j, i in enumerate(line) if i in cells][:m]
+            missing = [j for j, i in enumerate(line) if i not in cells]
+            filled = _solve_block_system(
+                [gen[j] for j in have], [cells[line[j]] for j in have],
+                [gen[j] for j in missing], self.ctx,
+            )
+            cells.update((line[j], blk) for j, blk in zip(missing, filled))
+        missing = [(r, c) for r in range(m) for c in range(m) if r * side + c not in cells]
         if missing:
             raise NotDecodable(f"peeling stalled; systematic cells {missing} unknown")
         # cell (row i, col j) holds A_j^T B_i, i.e. output block (j, i).
-        grid = [[cells[(i, j)] for i in range(m)] for j in range(m)]
+        grid = [[cells[i * side + j] for i in range(m)] for j in range(m)]
         return assemble_blocks(grid)
 
     def threshold(self, shape: ProblemShape) -> int:

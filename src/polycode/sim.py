@@ -32,14 +32,15 @@ class LatencyModel:
     samples: tuple = ()
 
     def __post_init__(self):
+        # Parameters must be finite; `not 0 <= v < inf` also rejects NaN.
         if self.kind == "shifted_exponential":
-            if self.shift < 0 or self.rate <= 0:
+            if not (0 <= self.shift < math.inf and 0 < self.rate < math.inf):
                 raise InvalidModelParams("need shift >= 0 and rate > 0")
         elif self.kind == "deterministic":
-            if self.value < 0:
+            if not 0 <= self.value < math.inf:
                 raise InvalidModelParams("deterministic time must be >= 0")
         elif self.kind == "empirical":
-            if not self.samples or any(s < 0 for s in self.samples):
+            if not self.samples or not all(0 <= s < math.inf for s in self.samples):
                 raise InvalidModelParams("empirical model needs nonnegative samples")
         else:
             raise InvalidModelParams(f"unknown latency model kind {self.kind!r}")

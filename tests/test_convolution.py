@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -9,6 +10,7 @@ from polycode.errors import (
     InvalidParameters,
     NonDivisiblePartition,
     NotEnoughResults,
+    TooManyWorkersForField,
 )
 from polycode.field import FieldCtx
 from polycode.convolution import (
@@ -102,6 +104,11 @@ class TestConvEncode:
         with pytest.raises(DuplicateEvaluationPoint):
             conv_encode(blocks, blocks, 2, F7, points=[3, 3])
 
+    def test_too_many_workers_for_field(self):
+        blocks = split_vector([1, 2], 2, F7)
+        with pytest.raises(TooManyWorkersForField):
+            conv_encode(blocks, blocks, 8, F7)
+
     def test_mismatched_block_lengths(self):
         with pytest.raises(InvalidParameters):
             conv_encode([as_vector([1, 2], F7)], [as_vector([1], F7)], 2, F7)
@@ -128,6 +135,13 @@ class TestConvDecode:
         b = list(rng.integers(0, 7, size=4))
         with pytest.raises(NotEnoughResults):
             run_pipeline(a, b, 3, 2, 7, F7, subset=range(3))
+
+    def test_duplicate_points_among_results(self):
+        blocks = split_vector([1, 2, 3, 4], 2, F7)
+        results = [conv_worker_compute(sh, F7) for sh in conv_encode(blocks, blocks, 4, F7)]
+        results[1] = dataclasses.replace(results[1], x=results[0].x)
+        with pytest.raises(DuplicateEvaluationPoint):
+            conv_decode(results, 2, 2, F7)
 
     def test_all_small_partitions_match_oracle(self):
         rng = np.random.default_rng(3)

@@ -17,8 +17,10 @@ from polycode.field import (
     check_embedding_bound,
     embed_reals,
     interpolate,
+    invert_matrix,
     is_prime,
     lagrange_weight_matrix,
+    solve_linear,
     unembed_reals,
 )
 
@@ -139,6 +141,30 @@ class TestInterpolate:
         p = Poly(tuple(coeffs))
         for x, y in zip(xs, ys):
             assert p.evaluate(x, BIG) == y
+
+
+class TestElimination:
+    def test_solve_linear_sets_free_variables_to_zero(self):
+        # x + y = 3 and 2x + 2y = 6 over F_7: y is free.
+        assert solve_linear([[1, 1, 3], [2, 2, 6]], 7) == [3, 0]
+
+    def test_solve_linear_inconsistent(self):
+        assert solve_linear([[1, 1, 3], [1, 1, 4]], 7) is None
+
+    def test_invert_matrix_needs_a_row_swap(self):
+        assert invert_matrix([[0, 3], [2, 0]], 7) == [[0, 4], [5, 0]]
+
+    def test_invert_matrix_random(self):
+        rng = random.Random(9)
+        q = BIG.q
+        mat = [[rng.randrange(q) for _ in range(5)] for _ in range(5)]
+        inv = invert_matrix(mat, q)
+        prod = [[sum(a * b for a, b in zip(row, col)) % q for col in zip(*inv)] for row in mat]
+        assert prod == [[int(i == j) for j in range(5)] for i in range(5)]
+
+    def test_invert_matrix_singular(self):
+        with pytest.raises(InvalidParameters):
+            invert_matrix([[1, 2], [2, 4]], 7)
 
 
 class TestBerlekampWelch:

@@ -1,7 +1,10 @@
+import dataclasses
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycode.errors import (
     DuplicateEvaluationPoint,
@@ -12,7 +15,7 @@ from polycode.errors import (
     NotEnoughResults,
     TooManyWorkersForField,
 )
-from polycode.field import FieldCtx
+from polycode.field import FieldCtx, invert_matrix
 from polycode.matrixcore import FMatrix, ProblemShape, transpose_mul
 from polycode.schemes import (
     CodeParams,
@@ -135,6 +138,14 @@ class TestPolyScheme:
         with pytest.raises(DuplicateEvaluationPoint):
             PolyScheme(F7, points=[1, 1, 2, 3, 4]).encode(a, b, self.shape5)
 
+    def test_duplicate_points_among_results(self):
+        a, b, _ = make_instance(self.shape5, F7)
+        scheme = PolyScheme(F7)
+        shares, results = all_results(scheme, a, b, self.shape5)
+        shares[1] = dataclasses.replace(shares[1], x=shares[0].x)
+        with pytest.raises(DuplicateEvaluationPoint):
+            scheme.decode(results, shares, self.shape5)
+
     def test_too_many_workers_for_field(self):
         shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=8)
         a, b, _ = make_instance(shape, F7)
@@ -198,12 +209,25 @@ class TestSystematicGenerator:
         gen = systematic_generator(3, 2, F7)
         assert gen == [[1, 0], [0, 1], [1, 1]]
 
-    def test_every_subset_invertible(self):
-        from polycode.field import invert_matrix
+    # Every (total, k) with total <= min(q, 12) in four small fields, plus
+    # one case in the default field.
+    CASES = [
+        (q, total, k)
+        for q in (7, 11, 13, 101)
+        for total in range(1, min(q, 12) + 1)
+        for k in range(1, total + 1)
+    ] + [(BIG.q, 6, 3)]
 
-        gen = systematic_generator(6, 3, BIG)
-        for subset in combinations(range(6), 3):
-            invert_matrix([gen[i] for i in subset], BIG.q)
+    @pytest.mark.parametrize("q,total,k", CASES, ids=[f"q{q}-{t}-{k}" for q, t, k in CASES])
+    def test_every_subset_invertible(self, q, total, k):
+        gen = systematic_generator(total, k, FieldCtx(q))
+        assert gen[:k] == np.eye(k, dtype=int).tolist()
+        for subset in combinations(range(total), k):
+            invert_matrix([gen[i] for i in subset], q)
+
+    def test_more_rows_than_field_elements_rejected(self):
+        with pytest.raises(TooManyWorkersForField):
+            systematic_generator(8, 3, F7)
 
 
 class TestMds1d:
@@ -303,6 +327,42 @@ class TestProduct:
             ProductScheme(BIG).threshold(ProblemShape(s=8, r=4, t=4, m=2, n=2, N=8))
         with pytest.raises(InvalidGrid):
             ProductScheme(BIG).threshold(ProblemShape(s=8, r=4, t=6, m=2, n=3, N=9))
+
+    def test_results_outside_the_grid_are_ignored(self):
+        a, b, oracle = make_instance(self.shape9, BIG)
+        scheme = ProductScheme(BIG)
+        shares, results = all_results(scheme, a, b, self.shape9)
+        stray = [type(results[0])(wid, results[0].c_tilde) for wid in (-1, 9, 99)]
+        assert scheme.decode(results[3:] + stray, shares, self.shape9) == oracle
+
+    def test_grid_side_above_field_size_rejected(self):
+        shape = ProblemShape(s=4, r=4, t=4, m=2, n=2, N=64)
+        a, b, _ = make_instance(shape, F7)
+        with pytest.raises(TooManyWorkersForField):
+            ProductScheme(F7).encode(a, b, shape)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    side=st.integers(2, 5),
+    q=st.sampled_from((7, BIG.q)),
+    data=st.data(),
+)
+def test_product_decode_replays_the_peeling_schedule(side, q, data):
+    """decode returns the exact product exactly when decodable holds."""
+    ctx = FieldCtx(q)
+    m = data.draw(st.integers(1, side), label="m")
+    shape = ProblemShape(s=2 * m, r=2 * m, t=2 * m, m=m, n=m, N=side * side)
+    subset = data.draw(st.sets(st.integers(0, side * side - 1)), label="subset")
+    a, b, oracle = make_instance(shape, ctx, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    scheme = ProductScheme(ctx)
+    shares, results = all_results(scheme, a, b, shape)
+    picked = [results[i] for i in sorted(subset)]
+    if scheme.decodable(subset, shape):
+        assert scheme.decode(picked, shares, shape) == oracle
+    else:
+        with pytest.raises(NotDecodable):
+            scheme.decode(picked, shares, shape)
 
 
 class TestUncoded:

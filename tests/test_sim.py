@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,23 @@ class TestLatencyModel:
             LatencyModel(kind="empirical", samples=())
         with pytest.raises(InvalidModelParams):
             LatencyModel(kind="uniform")
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_shifted_exponential_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidModelParams):
+            LatencyModel(kind="shifted_exponential", shift=bad)
+        with pytest.raises(InvalidModelParams):
+            LatencyModel(kind="shifted_exponential", rate=bad)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_deterministic_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidModelParams):
+            LatencyModel(kind="deterministic", value=bad)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_empirical_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidModelParams):
+            LatencyModel(kind="empirical", samples=(1.0, bad))
 
 
 class TestSchemeLatency:
