@@ -1,0 +1,72 @@
+"""Pinned outputs: the exact shares each scheme hands its workers, and the
+exact `polycode run` report.
+
+A placement that gives worker i the wrong coded block can still decode
+correctly, so only a pinned digest catches it. The digests were recorded
+before encode and decode became single base-class methods; a change to any of
+them changes the coded blocks or the CLI output, not just their speed.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from polycode.cli import main
+from polycode.field import FieldCtx
+from polycode.matrixcore import FMatrix, ProblemShape
+from polycode.schemes import get_scheme
+
+# q -> (shape without N, N per scheme)
+CASES = {
+    7: (dict(s=4, r=4, t=4, m=2, n=2), {"poly": 6, "mds1d": 6, "product": 9, "uncoded": 4}),
+    2**31 - 1: (dict(s=7, r=6, t=6, m=3, n=3), {"poly": 12, "mds1d": 12, "product": 16, "uncoded": 9}),
+}
+
+SHARE_DIGESTS = {
+    (7, "poly"): "0e31ca8acbb7f061b68dacee8aeabd69eafec780a0fb03058d6855066118ee8c",
+    (7, "mds1d"): "95bcd7b84213bf7d8f472edc3b256ca071166714682dec236be930c8d7eaaeaa",
+    (7, "product"): "2b5d80c7a1be5525ccd532f9898a48db9dad145cd4b3ef8ac8f64f8d3eb76045",
+    (7, "uncoded"): "3f9ce8ebbf013c715ea987b046b2ad251a087b45bd3175dac2ed0b29205d7ff4",
+    (2**31 - 1, "poly"): "ed0edf1643b8252132c251cfe612b38db91820fbaeda4b9c4b8569d3f2661c59",
+    (2**31 - 1, "mds1d"): "8590b9974276e4427682eb5e341672bd0f3d2bd4920ce18e0dfc56ac69ddcf56",
+    (2**31 - 1, "product"): "0b2b6f0c783f923d2d46fcaedff941847b8feefddc7d602c972b3e8974521062",
+    (2**31 - 1, "uncoded"): "ac7f97651dea2938ef12caa04c592f91b34ae26c04f2764205273de07756a6b5",
+}
+
+# sha256 of the stdout of `polycode run --scheme <name> --N 16 --m 2 --n 2
+# --s 8 --r 4 --t 6 --seed 3 --format json --plan slow1x2`.
+RUN_DIGESTS = {
+    "poly": "50924343163e6bc5de90ecdf98e68c9bcdf714685633fb927dda61c74c384601",
+    "mds1d": "341d37b3bb1ce8f086c96f3d39fc3d6d980a9443b1da2be27ed8ed16b515422b",
+    "product": "133ea0b2fc1128a89b0ab3287d2b0111e28405ed68736203f7092bbc38ba6b54",
+    "uncoded": "a0e892d3ee39d8a54411e9c91a4d5bd302db09c8dd23698aacc9805b8a6e0036",
+}
+
+
+def share_digest(name: str, q: int) -> str:
+    """One sha256 over every share's id, point and coded blocks, in order."""
+    dims, big_ns = CASES[q]
+    ctx = FieldCtx(q)
+    shape = ProblemShape(N=big_ns[name], **dims)
+    rng = np.random.default_rng(q % 1000 + 1)
+    a = FMatrix.random(shape.s, shape.r, ctx, rng)
+    b = FMatrix.random(shape.s, shape.t, ctx, rng)
+    h = hashlib.sha256()
+    for sh in get_scheme(name, ctx).encode(a, b, shape):
+        h.update(f"{sh.worker_id} {sh.x} {sh.a_tilde.digest()} {sh.b_tilde.digest()}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("q,name", sorted(SHARE_DIGESTS), ids=lambda v: str(v))
+def test_share_digests_are_pinned(q, name):
+    assert share_digest(name, q) == SHARE_DIGESTS[(q, name)]
+
+
+@pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
+def test_run_report_is_pinned(name, capsys):
+    args = ["run", "--scheme", name, "--N", "16", "--m", "2", "--n", "2", "--s", "8",
+            "--r", "4", "--t", "6", "--seed", "3", "--format", "json", "--plan", "slow1x2"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RUN_DIGESTS[name]
