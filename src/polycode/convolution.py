@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidParameters, NonDivisiblePartition
+from .errors import EmptyInput, InvalidParameters, NonDivisiblePartition, NotEnoughResults
 from .field import FieldCtx, lagrange_weight_matrix
-from .matrixcore import canonical, mulmod
-from .schemes import _evaluation_points, _select_lowest, _vandermonde
+from .matrixcore import canonical, load_array, mulmod, save_array
+from .schemes import _evaluation_points, _first_per_worker, _vandermonde
 
 
 def as_vector(values, ctx: FieldCtx):
@@ -92,7 +92,10 @@ def conv_decode(results: list, m: int, n: int, ctx: FieldCtx):
     d*s .. d*s + 2s - 2.
     """
     need = m + n - 1
-    picked = _select_lowest(results, need)
+    first = _first_per_worker(results)
+    if len(first) < need:
+        raise NotEnoughResults(f"need {need} distinct results, got {len(first)}")
+    picked = [first[i] for i in sorted(first)[:need]]
     weights = np.array(lagrange_weight_matrix([r.x % ctx.q for r in picked], ctx), dtype=np.int64)
     vlen = len(picked[0].value)
     if vlen % 2 != 1:
@@ -111,27 +114,12 @@ def conv_decode(results: list, m: int, n: int, ctx: FieldCtx):
 
 
 def save_vector(vec, path, ctx: FieldCtx) -> None:
-    """Plain text format: header `len q`, then the integers."""
-    vec = as_vector(vec, ctx)
-    with open(path, "w") as fh:
-        fh.write(f"{len(vec)} {ctx.q}\n")
-        fh.write(" ".join(str(int(v)) for v in vec) + "\n")
+    save_array(as_vector(vec, ctx), path, ctx.q)
 
 
-def load_vector(path, ctx: FieldCtx = None):
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise InvalidParameters(f"vector file {path} is truncated")
-    length, q = int(tokens[0]), int(tokens[1])
-    if ctx is None:
-        ctx = FieldCtx(q)
-    elif ctx.q != q:
-        raise InvalidParameters(f"file modulus {q} differs from context {ctx.q}")
-    vals = [int(t) for t in tokens[2:]]
-    if len(vals) != length:
-        raise InvalidParameters(f"expected {length} entries, found {len(vals)}")
-    return as_vector(vals, ctx), ctx
+def load_vector(path, ctx: FieldCtx = None) -> tuple:
+    """(vector, ctx) from a file in the `save_array` format."""
+    return load_array(path, 1, ctx)
 
 
 def pad_to_multiple(vec, parts: int, ctx: FieldCtx):

@@ -49,12 +49,12 @@ class InvalidCodeParams(PolycodeError):
     """(alpha, beta) exponents collide for the given partition counts."""
 
 
-class NotEnoughResults(PolycodeError):
-    """Fewer worker results than the scheme needs to decode."""
-
-
 class NotDecodable(PolycodeError):
     """The responded set does not satisfy the scheme's decodability predicate."""
+
+
+class NotEnoughResults(NotDecodable):
+    """Fewer worker results than the scheme needs to decode."""
 
 
 class NonDivisibleGroups(PolycodeError):

@@ -11,6 +11,7 @@ approach of Dumas, Giorgi and Pernet).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -253,26 +254,47 @@ def assemble_blocks(grid: list) -> FMatrix:
     return vconcat([hconcat(row) for row in grid])
 
 
-def save_matrix(mat: FMatrix, path) -> None:
-    """Plain text format: header `rows cols q`, then row-major integers."""
+def save_array(values, path, q: int) -> None:
+    """The one text format: a header of the dimensions and q, then the
+    entries, one line per row (a vector on one line)."""
+    arr = canonical(values, q)
     with open(path, "w") as fh:
-        fh.write(f"{mat.rows} {mat.cols} {mat.ctx.q}\n")
-        for row in mat.data:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        fh.write(" ".join(map(str, arr.shape + (q,))) + "\n")
+        for row in arr if arr.ndim == 2 else [arr]:
+            fh.write(" ".join(map(str, row.tolist())) + "\n")
 
 
-def load_matrix(path, ctx: FieldCtx = None) -> FMatrix:
+def load_array(path, ndim: int, ctx: FieldCtx = None) -> tuple:
+    """(entries, ctx) from a `save_array` file with `ndim` dimensions.
+
+    Whitespace is free, and entries are reduced mod q. A token that is not an
+    integer, a negative dimension, a modulus other than ctx's or a wrong
+    entry count raises InvalidParameters.
+    """
     with open(path) as fh:
         tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise InvalidParameters(f"matrix file {path} is truncated")
-    rows, cols, q = int(tokens[0]), int(tokens[1]), int(tokens[2])
+    try:
+        nums = [int(t) for t in tokens]
+    except ValueError:
+        raise InvalidParameters(f"{path} holds a token that is not an integer") from None
+    if len(nums) < ndim + 1:
+        raise InvalidParameters(f"{path} is truncated")
+    dims, q, vals = nums[:ndim], nums[ndim], nums[ndim + 1 :]
+    if min(dims) < 0:
+        raise InvalidParameters(f"{path} has negative dimensions {dims}")
     if ctx is None:
         ctx = FieldCtx(q)
     elif ctx.q != q:
         raise InvalidParameters(f"file modulus {q} differs from context {ctx.q}")
-    vals = [int(t) for t in tokens[3:]]
-    if len(vals) != rows * cols:
-        raise InvalidParameters(f"expected {rows * cols} entries, found {len(vals)}")
-    arr = np.array(vals, dtype=object).reshape(rows, cols)
-    return FMatrix(arr, ctx)
+    if len(vals) != math.prod(dims):
+        raise InvalidParameters(f"expected {math.prod(dims)} entries, found {len(vals)}")
+    return canonical(vals, q).reshape(dims), ctx
+
+
+def save_matrix(mat: FMatrix, path) -> None:
+    save_array(mat.data, path, mat.ctx.q)
+
+
+def load_matrix(path, ctx: FieldCtx = None) -> FMatrix:
+    data, ctx = load_array(path, 2, ctx)
+    return FMatrix(data, ctx, _canonical=True)

@@ -1,9 +1,10 @@
 """The four computation strategies behind one contract.
 
-Each scheme exposes encode / decodable / decode / threshold. Encoding yields
-one WorkerShare per logical worker; each worker computes the block product of
-its two stored matrices; the master decodes once the responded set satisfies
-the scheme's decodability predicate.
+Each scheme exposes encode / decodable / decode / threshold, and differs from
+the others only in its generators, its placement and its solve. Encoding
+yields one WorkerShare per logical worker; each worker computes the block
+product of its two stored matrices; the master decodes once the responded set
+satisfies the scheme's decodability predicate.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import (
     InvalidParameters,
     NonDivisibleGroups,
     InvalidGrid,
-    NotDecodable,
     NotEnoughResults,
     PolycodeError,
     ShapeMismatch,
@@ -70,14 +70,12 @@ class CodeParams:
 
 @dataclass(frozen=True)
 class WorkerShare:
-    """Coded blocks stored at one worker, plus placement metadata."""
+    """Coded blocks stored at one worker."""
 
     worker_id: int
     a_tilde: FMatrix
     b_tilde: FMatrix
-    x: int | None = None           # evaluation point (polynomial code)
-    group: int | None = None       # group id (1D MDS)
-    grid_pos: tuple | None = None  # (row, col) in the worker grid (product code)
+    x: int | None = None  # evaluation point (polynomial code)
 
 
 @dataclass(frozen=True)
@@ -92,19 +90,9 @@ def worker_compute(share: WorkerShare) -> WorkerResult:
     return WorkerResult(share.worker_id, transpose_mul(share.a_tilde, share.b_tilde))
 
 
-def _select_lowest(results: list, count: int) -> list:
-    """Deterministic tie-break: lowest worker ids win, extras are ignored."""
-    ordered = sorted(results, key=lambda r: r.worker_id)
-    seen = set()
-    picked = []
-    for r in ordered:
-        if r.worker_id in seen:
-            continue
-        seen.add(r.worker_id)
-        picked.append(r)
-        if len(picked) == count:
-            return picked
-    raise NotEnoughResults(f"need {count} distinct results, got {len(picked)}")
+def _first_per_worker(results: list) -> dict:
+    """Worker id -> the first result carrying it; later duplicates are ignored."""
+    return {r.worker_id: r for r in reversed(results)}
 
 
 def _evaluation_points(points: list, big_n: int, ctx: FieldCtx) -> list:
@@ -148,14 +136,19 @@ def systematic_generator(total: int, k: int, ctx: FieldCtx) -> list:
     return rows
 
 
-def _solve_block_system(gen_rows: list, blocks: list, want_rows: list, ctx: FieldCtx) -> list:
-    """Blocks sum_j want_rows[i][j] * U_j, where the block unknowns U_j solve
-    sum_j gen_rows[i][j] * U_j = blocks[i]: one product of want_rows times
-    the inverse of gen_rows with the stacked blocks."""
+def _fill_line(gen: list, line, cells: dict, want: list, ctx: FieldCtx) -> list:
+    """Blocks at positions `want` of a line of workers whose position j holds
+    generator row gen[j] applied to k unknown blocks U.
+
+    U solves gen[j] U = cells[line[j]] over the line's first k known cells;
+    the wanted blocks are gen[w] U, one product of gen[want] times the inverse
+    with the stacked known blocks.
+    """
     q = ctx.q
-    inv = invert_matrix(gen_rows, q)
-    coeffs = [[sum(w * v for w, v in zip(row, col)) % q for col in zip(*inv)] for row in want_rows]
-    return combine(coeffs, blocks)
+    have = [j for j, i in enumerate(line) if i in cells][: len(gen[0])]
+    inv = invert_matrix([gen[j] for j in have], q)
+    coeffs = [[sum(w * v for w, v in zip(gen[j], col)) % q for col in zip(*inv)] for j in want]
+    return combine(coeffs, [cells[line[j]] for j in have])
 
 
 # Seed of the random fold in `_interleaved_decode`. Its output never depends
@@ -208,7 +201,14 @@ def _entrywise_decode(xs: list, received: np.ndarray, k: int, t: int, ctx: Field
 
 
 class Scheme:
-    """Common contract for the four computation strategies."""
+    """Common contract for the four computation strategies.
+
+    Each scheme is a generator, a placement and a solve. `_layout` gives the
+    generator rows that combine A's m and B's n column blocks (None: that
+    input is not coded) and, per worker, the row of each that it stores.
+    `encode` applies them; `decode` keeps the first result of each worker
+    with a share, checks `decodable`, and hands the blocks to `_solve`.
+    """
 
     name: str = ""
 
@@ -221,13 +221,42 @@ class Scheme:
     def num_shares(self, shape: ProblemShape) -> int:
         return shape.N
 
-    def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> list:
+    def _layout(self, shape: ProblemShape) -> tuple:
+        """(gen_a, gen_b, placement): placement[i] is worker i's
+        (row of gen_a, row of gen_b, evaluation point or None)."""
         raise NotImplementedError
+
+    def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> list:
+        self._check_inputs(a, b, shape)
+        gen_a, gen_b, placement = self._layout(shape)
+        a_blocks, b_blocks = split_cols(a, shape.m), split_cols(b, shape.n)
+        # An uncoded input is its column blocks themselves, not an identity product.
+        a_coded = a_blocks if gen_a is None else combine(gen_a, a_blocks)
+        b_coded = b_blocks if gen_b is None else combine(gen_b, b_blocks)
+        return [
+            WorkerShare(worker_id=i, a_tilde=a_coded[ja], b_tilde=b_coded[kb], x=x)
+            for i, (ja, kb, x) in enumerate(placement)
+        ]
 
     def decodable(self, responded: set, shape: ProblemShape) -> bool:
         raise NotImplementedError
 
+    def _select(self, results: list, shares: list, shape: ProblemShape) -> dict:
+        """Worker id -> block of the first result from each worker that has a
+        share; results from other ids are dropped. Raises NotEnoughResults
+        unless the kept ids are decodable."""
+        ids = {s.worker_id for s in shares}
+        cells = {i: r.c_tilde for i, r in _first_per_worker(results).items() if i in ids}
+        if not self.decodable(set(cells), shape):
+            raise NotEnoughResults(f"{self.name}: {len(cells)} distinct results are not decodable")
+        return cells
+
     def decode(self, results: list, shares: list, shape: ProblemShape) -> FMatrix:
+        return assemble_blocks(self._solve(self._select(results, shares, shape), shares, shape))
+
+    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
+        """The m x n grid of output blocks A_j^T B_k from a decodable set of
+        worker blocks."""
         raise NotImplementedError
 
     def threshold(self, shape: ProblemShape) -> int:
@@ -271,32 +300,25 @@ class PolyScheme(Scheme):
                 f"{self.required_results(shape)}"
             )
 
-    def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> list:
-        self._check_inputs(a, b, shape)
+    def _layout(self, shape: ProblemShape) -> tuple:
         params = self._params(shape)
         pts = _evaluation_points(self.points, shape.N, self.ctx)
         a_gen = _vandermonde(pts, [j * params.alpha for j in range(shape.m)], self.ctx)
         b_gen = _vandermonde(pts, [k * params.beta for k in range(shape.n)], self.ctx)
-        a_tilde = combine(a_gen, split_cols(a, shape.m))
-        b_tilde = combine(b_gen, split_cols(b, shape.n))
-        return [
-            WorkerShare(worker_id=i, a_tilde=a_tilde[i], b_tilde=b_tilde[i], x=x)
-            for i, x in enumerate(pts)
-        ]
+        return a_gen, b_gen, [(i, i, x) for i, x in enumerate(pts)]
 
     def decodable(self, responded: set, shape: ProblemShape) -> bool:
         return len(responded) >= self.required_results(shape)
 
-    def decode(self, results: list, shares: list, shape: ProblemShape) -> FMatrix:
-        params = self._params(shape)
-        need = self.required_results(shape)
-        picked = _select_lowest(results, need)
+    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
+        # Interpolate from the lowest worker ids, so the work is deterministic.
+        picked = sorted(cells)[: self.required_results(shape)]
         x_of = {s.worker_id: s.x for s in shares}
-        weights = lagrange_weight_matrix([x_of[r.worker_id] for r in picked], self.ctx)
-        exps = params.exponents(shape.m, shape.n)
-        coeffs = combine([weights[e] for e in exps.values()], [r.c_tilde for r in picked])
+        weights = lagrange_weight_matrix([x_of[i] for i in picked], self.ctx)
+        exps = self._params(shape).exponents(shape.m, shape.n)
+        coeffs = combine([weights[e] for e in exps.values()], [cells[i] for i in picked])
         n = shape.n
-        return assemble_blocks([coeffs[j * n : (j + 1) * n] for j in range(shape.m)])
+        return [coeffs[j * n : (j + 1) * n] for j in range(shape.m)]
 
     def decode_with_errors(
         self, results: list, shares: list, shape: ProblemShape, max_errors: int = None
@@ -321,21 +343,22 @@ class PolyScheme(Scheme):
         Berlekamp-Welch runs only when that result fails its check.
         """
         params = self._params(shape)
-        if len({r.worker_id for r in results}) != shape.N:
+        cells = self._select(results, shares, shape)
+        if len(cells) != shape.N:
             raise NotEnoughResults("error decoding needs results from all N workers")
         k = self.required_results(shape)
         t = (shape.N - k) // 2 if max_errors is None else max_errors
-        ordered = sorted(results, key=lambda r: r.worker_id)
+        ordered = sorted(cells)
         x_of = {s.worker_id: s.x for s in shares}
-        xs = [x_of[r.worker_id] for r in ordered]
+        xs = [x_of[i] for i in ordered]
         br, bc = shape.block_rows, shape.block_cols
-        for r in ordered:
-            if r.c_tilde.data.shape != (br, bc):
+        for i in ordered:
+            if cells[i].data.shape != (br, bc):
                 raise ShapeMismatch(
-                    f"worker {r.worker_id} sent a {r.c_tilde.rows}x{r.c_tilde.cols} block, "
+                    f"worker {i} sent a {cells[i].rows}x{cells[i].cols} block, "
                     f"expected {br}x{bc}"
                 )
-        received = np.stack([r.c_tilde.data.reshape(br * bc) for r in ordered])
+        received = np.stack([cells[i].data.reshape(br * bc) for i in ordered])
         coeffs = _interleaved_decode(xs, received, k, t, self.ctx)
         if coeffs is None:
             coeffs = _entrywise_decode(xs, received, k, t, self.ctx)
@@ -368,16 +391,11 @@ class Mds1dScheme(Scheme):
     def validate(self, shape: ProblemShape) -> None:
         self.group_size(shape)
 
-    def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> list:
-        self._check_inputs(a, b, shape)
+    def _layout(self, shape: ProblemShape) -> tuple:
+        # Worker i holds coded A block i mod g and B block i div g (its group).
         g = self.group_size(shape)
         gen = systematic_generator(g, shape.m, self.ctx)
-        a_codes = combine(gen, split_cols(a, shape.m))
-        b_blocks = split_cols(b, shape.n)
-        return [
-            WorkerShare(worker_id=i, a_tilde=a_codes[i % g], b_tilde=b_blocks[i // g], group=i // g)
-            for i in range(shape.N)
-        ]
+        return gen, None, [(i % g, i // g, None) for i in range(shape.N)]
 
     def decodable(self, responded: set, shape: ProblemShape) -> bool:
         g = self.group_size(shape)
@@ -386,27 +404,13 @@ class Mds1dScheme(Scheme):
             counts[i // g] += 1
         return all(c >= shape.m for c in counts)
 
-    def decode(self, results: list, shares: list, shape: ProblemShape) -> FMatrix:
-        g = self.group_size(shape)
-        gen = systematic_generator(g, shape.m, self.ctx)
-        by_group = {grp: [] for grp in range(shape.n)}
-        seen = set()
-        for r in sorted(results, key=lambda r: r.worker_id):
-            if r.worker_id in seen:
-                continue
-            seen.add(r.worker_id)
-            by_group[r.worker_id // g].append(r)
-        grid = [[None] * shape.n for _ in range(shape.m)]
-        for grp in range(shape.n):
-            picked = by_group[grp][: shape.m]
-            if len(picked) < shape.m:
-                raise NotDecodable(f"group {grp} has only {len(picked)} results")
-            rows = [gen[r.worker_id % g] for r in picked]
-            # The unknowns are the systematic blocks, the identity rows of gen.
-            unknowns = _solve_block_system(rows, [r.c_tilde for r in picked], gen[: shape.m], self.ctx)
-            for j in range(shape.m):
-                grid[j][grp] = unknowns[j]
-        return assemble_blocks(grid)
+    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
+        g, m = self.group_size(shape), shape.m
+        gen = self._layout(shape)[0]
+        # Each group is one line; its unknowns are the systematic blocks.
+        cols = [_fill_line(gen, range(grp * g, (grp + 1) * g), cells, range(m), self.ctx)
+                for grp in range(shape.n)]
+        return [list(row) for row in zip(*cols)]
 
     def threshold(self, shape: ProblemShape) -> int:
         g = self.group_size(shape)
@@ -435,24 +439,12 @@ class ProductScheme(Scheme):
     def validate(self, shape: ProblemShape) -> None:
         self.grid_side(shape)
 
-    def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> list:
-        self._check_inputs(a, b, shape)
+    def _layout(self, shape: ProblemShape) -> tuple:
+        # Worker i sits at grid cell (row, col) = divmod(i, side): coded A
+        # block col and coded B block row.
         side = self.grid_side(shape)
         gen = systematic_generator(side, shape.m, self.ctx)
-        a_codes = combine(gen, split_cols(a, shape.m))
-        b_codes = combine(gen, split_cols(b, shape.n))
-        shares = []
-        for i in range(shape.N):
-            row, col = divmod(i, side)
-            shares.append(
-                WorkerShare(
-                    worker_id=i,
-                    a_tilde=a_codes[col],
-                    b_tilde=b_codes[row],
-                    grid_pos=(row, col),
-                )
-            )
-        return shares
+        return gen, gen, [(i % side, i // side, None) for i in range(shape.N)]
 
     def _peel_known(self, responded: set, side: int, m: int) -> tuple:
         """Workers whose cells are derivable from the responded set by
@@ -523,31 +515,17 @@ class ProductScheme(Scheme):
                 return known[:, :m, :m].max(axis=(1, 2))
             known = peeled
 
-    def decode(self, results: list, shares: list, shape: ProblemShape) -> FMatrix:
-        side = self.grid_side(shape)
-        m = shape.m
-        gen = systematic_generator(side, m, self.ctx)
-        cells = {}
-        for res in results:
-            # A result from outside the grid holds no cell; it is ignored.
-            if 0 <= res.worker_id < shape.N:
-                cells.setdefault(res.worker_id, res.c_tilde)
+    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
+        side, m = self.grid_side(shape), shape.m
+        gen = self._layout(shape)[0]
         # Replay the peeling schedule: each line's missing cells are solved
         # from its first m known cells.
         for line in self._peel_known(set(cells), side, m)[1]:
-            have = [j for j, i in enumerate(line) if i in cells][:m]
             missing = [j for j, i in enumerate(line) if i not in cells]
-            filled = _solve_block_system(
-                [gen[j] for j in have], [cells[line[j]] for j in have],
-                [gen[j] for j in missing], self.ctx,
-            )
+            filled = _fill_line(gen, line, cells, missing, self.ctx)
             cells.update((line[j], blk) for j, blk in zip(missing, filled))
-        missing = [(r, c) for r in range(m) for c in range(m) if r * side + c not in cells]
-        if missing:
-            raise NotDecodable(f"peeling stalled; systematic cells {missing} unknown")
         # cell (row i, col j) holds A_j^T B_i, i.e. output block (j, i).
-        grid = [[cells[i * side + j] for i in range(m)] for j in range(m)]
-        return assemble_blocks(grid)
+        return [[cells[i * side + j] for i in range(m)] for j in range(m)]
 
     def threshold(self, shape: ProblemShape) -> int:
         side = self.grid_side(shape)
@@ -570,29 +548,16 @@ class UncodedScheme(Scheme):
         if shape.N < shape.m * shape.n:
             raise InvalidParameters(f"uncoded needs N >= mn = {shape.m * shape.n}")
 
-    def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> list:
-        self._check_inputs(a, b, shape)
-        a_blocks = split_cols(a, shape.m)
-        b_blocks = split_cols(b, shape.n)
-        shares = []
-        for i in range(shape.m * shape.n):
-            j, k = divmod(i, shape.n)
-            shares.append(WorkerShare(worker_id=i, a_tilde=a_blocks[j], b_tilde=b_blocks[k]))
-        return shares
+    def _layout(self, shape: ProblemShape) -> tuple:
+        n = shape.n
+        return None, None, [(i // n, i % n, None) for i in range(shape.m * n)]
 
     def decodable(self, responded: set, shape: ProblemShape) -> bool:
         return set(range(shape.m * shape.n)) <= set(responded)
 
-    def decode(self, results: list, shares: list, shape: ProblemShape) -> FMatrix:
-        by_id = {}
-        for r in results:
-            by_id.setdefault(r.worker_id, r.c_tilde)
-        if not self.decodable(set(by_id), shape):
-            raise NotEnoughResults("uncoded decode needs every one of the mn workers")
-        grid = [
-            [by_id[j * shape.n + k] for k in range(shape.n)] for j in range(shape.m)
-        ]
-        return assemble_blocks(grid)
+    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
+        n = shape.n
+        return [[cells[j * n + k] for k in range(n)] for j in range(shape.m)]
 
     def threshold(self, shape: ProblemShape) -> int:
         return shape.m * shape.n
@@ -632,73 +597,3 @@ def threshold_table(m: int, n: int, n_range, ctx: FieldCtx = None) -> list:
             except PolycodeError:
                 continue
     return rows
-
-
-def save_result(result: WorkerResult, path, x: int = -1) -> None:
-    """Dump format: one-line header `worker_id x_point`, then the matrix text."""
-    with open(path, "w") as fh:
-        fh.write(f"{result.worker_id} {x}\n")
-        m = result.c_tilde
-        fh.write(f"{m.rows} {m.cols} {m.ctx.q}\n")
-        for row in m.data:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-
-def load_result(path, ctx: FieldCtx = None):
-    """Returns (WorkerResult, x_point); x_point is -1 for non-polynomial schemes."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        tokens = fh.read().split()
-    if len(header) != 2:
-        raise InvalidParameters(f"result file {path} has a malformed header")
-    worker_id, x = int(header[0]), int(header[1])
-    if len(tokens) < 3:
-        raise InvalidParameters(f"result file {path} is truncated")
-    rows, cols, q = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    if ctx is None:
-        ctx = FieldCtx(q)
-    elif ctx.q != q:
-        raise InvalidParameters(f"file modulus {q} differs from context {ctx.q}")
-    vals = [int(t) for t in tokens[3:]]
-    if len(vals) != rows * cols:
-        raise InvalidParameters(f"expected {rows * cols} entries, found {len(vals)}")
-    mat = FMatrix(np.array(vals, dtype=object).reshape(rows, cols), ctx)
-    return WorkerResult(worker_id, mat), x
-
-
-def save_share(share: WorkerShare, path) -> None:
-    """Header `worker_id x_point`, then the A~ and B~ matrices back to back."""
-    x = share.x if share.x is not None else -1
-    with open(path, "w") as fh:
-        fh.write(f"{share.worker_id} {x}\n")
-        for m in (share.a_tilde, share.b_tilde):
-            fh.write(f"{m.rows} {m.cols} {m.ctx.q}\n")
-            for row in m.data:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-
-def load_share(path, ctx: FieldCtx = None) -> WorkerShare:
-    with open(path) as fh:
-        header = fh.readline().split()
-        tokens = fh.read().split()
-    if len(header) != 2:
-        raise InvalidParameters(f"share file {path} has a malformed header")
-    worker_id, x = int(header[0]), int(header[1])
-    mats = []
-    pos = 0
-    for _ in range(2):
-        rows, cols, q = int(tokens[pos]), int(tokens[pos + 1]), int(tokens[pos + 2])
-        pos += 3
-        if ctx is None:
-            ctx = FieldCtx(q)
-        elif ctx.q != q:
-            raise InvalidParameters(f"file modulus {q} differs from context {ctx.q}")
-        vals = [int(t) for t in tokens[pos : pos + rows * cols]]
-        if len(vals) != rows * cols:
-            raise InvalidParameters(f"share file {path} is truncated")
-        pos += rows * cols
-        mats.append(FMatrix(np.array(vals, dtype=object).reshape(rows, cols), ctx))
-    return WorkerShare(
-        worker_id=worker_id, a_tilde=mats[0], b_tilde=mats[1], x=None if x < 0 else x
-    )
-

@@ -198,3 +198,10 @@ class TestVectorIO:
         path.write_text("3 7\n1 2\n")
         with pytest.raises(InvalidParameters):
             load_vector(path)
+
+    @pytest.mark.parametrize("text", ["3 7\n1 x 3", "-2 7\n", "3 7\n1 2 3.5"])
+    def test_malformed_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidParameters):
+            load_vector(path)

@@ -194,3 +194,10 @@ class TestMatrixIO:
         path.write_text("2 2 7\n1 2 3\n")
         with pytest.raises(InvalidParameters):
             load_matrix(path)
+
+    @pytest.mark.parametrize("text", ["2 2 7\n1 x\n3 4", "-1 -4 7\n1 2 3 4", "2 2 7.0\n1 2\n3 4"])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidParameters):
+            load_matrix(path)

@@ -13,6 +13,7 @@ from polycode.errors import (
     NonDivisibleGroups,
     NotDecodable,
     NotEnoughResults,
+    PolycodeError,
     TooManyWorkersForField,
 )
 from polycode.field import FieldCtx, invert_matrix
@@ -23,11 +24,8 @@ from polycode.schemes import (
     PolyScheme,
     ProductScheme,
     UncodedScheme,
+    WorkerResult,
     get_scheme,
-    load_result,
-    load_share,
-    save_result,
-    save_share,
     systematic_generator,
     threshold,
     threshold_table,
@@ -203,6 +201,21 @@ class TestPolyErrors:
         with pytest.raises(NotEnoughResults):
             scheme.decode_with_errors(results[:11], shares, self.shape12)
 
+    def test_unknown_id_is_not_a_worker(self):
+        a, b, _ = make_instance(self.shape12, BIG)
+        scheme = PolyScheme(BIG)
+        shares, results = all_results(scheme, a, b, self.shape12)
+        stray = WorkerResult(99, results[0].c_tilde)
+        with pytest.raises(NotEnoughResults):
+            scheme.decode_with_errors(results[:11] + [stray], shares, self.shape12)
+
+    def test_duplicated_result_is_ignored(self):
+        a, b, oracle = make_instance(self.shape12, BIG)
+        scheme = PolyScheme(BIG)
+        shares, results = all_results(scheme, a, b, self.shape12)
+        got = scheme.decode_with_errors(results + [results[3]], shares, self.shape12)
+        assert got == oracle
+
 
 class TestSystematicGenerator:
     def test_single_parity_is_all_ones(self):
@@ -365,6 +378,70 @@ def test_product_decode_replays_the_peeling_schedule(side, q, data):
             scheme.decode(picked, shares, shape)
 
 
+# One small shape per scheme, valid at q = 7 and in the default field.
+SELECTION_SHAPES = {
+    "poly": ProblemShape(s=4, r=4, t=4, m=2, n=2, N=6),
+    "mds1d": ProblemShape(s=4, r=4, t=4, m=2, n=2, N=6),
+    "product": ProblemShape(s=4, r=4, t=4, m=2, n=2, N=9),
+    "uncoded": ProblemShape(s=4, r=4, t=4, m=2, n=2, N=4),
+}
+
+
+@pytest.mark.parametrize(
+    "name,big_n,stray", [("poly", 9, -1), ("mds1d", 8, -1), ("mds1d", 8, 99)]
+)
+def test_result_from_unknown_worker_is_ignored(name, big_n, stray):
+    shape = ProblemShape(s=4, r=4, t=4, m=2, n=2, N=big_n)
+    a, b, oracle = make_instance(shape, BIG)
+    scheme = get_scheme(name, BIG)
+    shares, results = all_results(scheme, a, b, shape)
+    extra = WorkerResult(stray, results[0].c_tilde)
+    assert scheme.decode(results + [extra], shares, shape) == oracle
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    name=st.sampled_from(sorted(SELECTION_SHAPES)),
+    q=st.sampled_from((7, BIG.q)),
+    data=st.data(),
+)
+def test_decode_keeps_the_first_result_of_each_known_worker(name, q, data):
+    """Over arbitrary worker id lists (unknown, negative and repeated ids, and
+    repeats carrying a wrong block) decode returns the exact product when the
+    distinct known ids are decodable, raises NotEnoughResults otherwise, and
+    lets no other exception escape."""
+    ctx, shape = FieldCtx(q), SELECTION_SHAPES[name]
+    scheme = get_scheme(name, ctx)
+    a, b, oracle = make_instance(shape, ctx, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    shares, results = all_results(scheme, a, b, shape)
+    total = len(shares)
+    ids = data.draw(st.lists(st.integers(-2, total + 2), max_size=3 * total), label="ids")
+    wrong = FMatrix.random(shape.block_rows, shape.block_cols, ctx, np.random.default_rng(q))
+    sent, distinct = [], set()
+    for i in ids:
+        if 0 <= i < total and i not in distinct:
+            # A worker's first result is right.
+            sent.append(WorkerResult(i, results[i].c_tilde))
+            distinct.add(i)
+        else:
+            # A repeat or a stray id: the right block or a wrong one.
+            block = data.draw(st.sampled_from((results[i % total].c_tilde, wrong)), label="block")
+            sent.append(WorkerResult(i, block))
+    try:
+        got = scheme.decode(sent, shares, shape)
+    except PolycodeError as exc:
+        assert isinstance(exc, NotEnoughResults) and not scheme.decodable(distinct, shape)
+    else:
+        assert scheme.decodable(distinct, shape) and got == oracle
+    if name == "poly":
+        try:
+            got = scheme.decode_with_errors(sent, shares, shape)
+        except PolycodeError as exc:
+            assert isinstance(exc, NotEnoughResults) and len(distinct) < total
+        else:
+            assert len(distinct) == total and got == oracle
+
+
 class TestUncoded:
     def test_requires_every_worker(self):
         shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=5)
@@ -450,25 +527,3 @@ class TestThresholds:
         with pytest.raises(ZeroDivisionError):
             threshold_table(2, 2, [4])
 
-
-class TestShareResultIO:
-    def test_share_round_trip(self, tmp_path):
-        shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=5)
-        a, b, _ = make_instance(shape, F7)
-        share = PolyScheme(F7).encode(a, b, shape)[2]
-        path = tmp_path / "share.txt"
-        save_share(share, path)
-        back = load_share(path)
-        assert back.worker_id == 2 and back.x == 2
-        assert back.a_tilde == share.a_tilde and back.b_tilde == share.b_tilde
-
-    def test_result_round_trip(self, tmp_path):
-        shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=5)
-        a, b, _ = make_instance(shape, F7)
-        scheme = PolyScheme(F7)
-        shares, results = all_results(scheme, a, b, shape)
-        path = tmp_path / "result.txt"
-        save_result(results[1], path, x=shares[1].x)
-        back, x = load_result(path)
-        assert back.worker_id == 1 and x == 1
-        assert back.c_tilde == results[1].c_tilde
