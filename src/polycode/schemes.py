@@ -227,7 +227,10 @@ class Scheme:
         raise NotImplementedError
 
     def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> list:
-        self._check_inputs(a, b, shape)
+        if a.rows != shape.s or a.cols != shape.r:
+            raise InvalidParameters(f"A is {a.rows}x{a.cols}, shape wants {shape.s}x{shape.r}")
+        if b.rows != shape.s or b.cols != shape.t:
+            raise InvalidParameters(f"B is {b.rows}x{b.cols}, shape wants {shape.s}x{shape.t}")
         gen_a, gen_b, placement = self._layout(shape)
         a_blocks, b_blocks = split_cols(a, shape.m), split_cols(b, shape.n)
         # An uncoded input is its column blocks themselves, not an identity product.
@@ -265,12 +268,6 @@ class Scheme:
     def decode_op_estimate(self, shape: ProblemShape) -> int:
         """Rough multiply-accumulate count of one decode, for latency modeling."""
         raise NotImplementedError
-
-    def _check_inputs(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> None:
-        if a.rows != shape.s or a.cols != shape.r:
-            raise InvalidParameters(f"A is {a.rows}x{a.cols}, shape wants {shape.s}x{shape.r}")
-        if b.rows != shape.s or b.cols != shape.t:
-            raise InvalidParameters(f"B is {b.rows}x{b.cols}, shape wants {shape.s}x{shape.t}")
 
 
 class PolyScheme(Scheme):
