@@ -250,7 +250,7 @@ class Scheme:
         unless the kept ids are decodable."""
         ids = {s.worker_id for s in shares}
         cells = {i: r.c_tilde for i, r in _first_per_worker(results).items() if i in ids}
-        if not self.decodable(set(cells), shape):
+        if not self.decodable(cells.keys(), shape):
             raise NotEnoughResults(f"{self.name}: {len(cells)} distinct results are not decodable")
         return cells
 
