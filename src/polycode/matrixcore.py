@@ -67,7 +67,9 @@ def mulmod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     One float64 BLAS product of the stacked limbs yields every x_i @ y_j
     exactly. Each goes to int64 before the diagonals
     D_d = sum_{i+j=d} x_i @ y_j are summed, and Horner steps mod q
-    recombine sum_d 2**(b*d) D_d.
+    recombine sum_d 2**(b*d) D_d. A diagonal is built only when its Horner
+    step needs it, so besides the float products only a few n x p int64
+    arrays are live at once, not an int64 copy of all L**2 products.
     """
     n, k = x.shape
     p = y.shape[1]
@@ -77,23 +79,26 @@ def mulmod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     mask = (1 << width) - 1
     x_limbs = ((x[None] >> shifts) & mask).reshape(count * n, k)
     y_limbs = ((y[None] >> shifts) & mask).transpose(1, 0, 2).reshape(k, count * p)
-    prods = (x_limbs.astype(np.float64) @ y_limbs.astype(np.float64)).astype(np.int64)
-    prods = prods.reshape(count, n, count, p).transpose(0, 2, 1, 3)
-    diags = np.zeros((2 * count - 1, n, p), dtype=np.int64)
-    for i in range(count):
-        diags[i : i + count] += prods[i]
+    prods = (x_limbs.astype(np.float64) @ y_limbs.astype(np.float64)).reshape(count, n, count, p)
+
+    def diag(d):
+        terms = range(max(0, d - count + 1), min(d, count - 1) + 1)
+        out = prods[terms[0], :, d - terms[0]].astype(np.int64)
+        for i in terms[1:]:
+            out += prods[i, :, d - i].astype(np.int64)
+        return out
 
     # With acc < q, acc << step stays below 2**63 and acc << (step - 1) below
     # 2**62. A diagonal is below L * 2**53 <= 2**59, so the last shift of
     # each Horner step and the add fit in int64 before one reduction.
     step = 63 - bits
-    acc = diags[-1] % q
-    for diag in diags[-2::-1]:
+    acc = diag(2 * count - 2) % q
+    for d in range(2 * count - 3, -1, -1):
         left = width
         while left >= step:
             acc = (acc << step) % q
             left -= step
-        acc = ((acc << left) + diag) % q
+        acc = ((acc << left) + diag(d)) % q
     return acc
 
 
