@@ -71,7 +71,11 @@ class StragglerPlan:
 
 @dataclass
 class RunReport:
-    """Outcome of one harness run."""
+    """Outcome of one harness run.
+
+    `output_digest` is computed from `output` each time it is read, so a run
+    whose caller never reads it never pays for the hash.
+    """
 
     scheme: str
     seed: int
@@ -79,8 +83,12 @@ class RunReport:
     decode_time: float
     responders: list             # worker ids in completion order at decode moment
     bytes_received: int
-    output_digest: str
+    output: FMatrix = field(repr=False)
     arrival_times: list = field(default_factory=list)  # (worker_id, time) pairs
+
+    @property
+    def output_digest(self) -> str:
+        return self.output.digest()
 
     def to_json(self) -> str:
         return json.dumps(
@@ -139,7 +147,7 @@ def run(
             results.append(worker_compute(shares[i]))
             responders.append(i)
             arrival_times.append((i, float(worker_times[i])))
-            if scheme.decodable(set(responders), shape):
+            if scheme.decodable(responders, shape):
                 decode_fire = float(worker_times[i])
                 break
         if decode_fire is None:
@@ -172,7 +180,7 @@ def run(
             results.append(res)
             responders.append(idx)
             arrival_times.append((idx, stamp - t0))
-            if scheme.decodable(set(responders), shape):
+            if scheme.decodable(responders, shape):
                 break
         dec0 = time.perf_counter()
         c = scheme.decode(results, shares, shape)
@@ -186,7 +194,7 @@ def run(
         decode_time=decode_time,
         responders=responders,
         bytes_received=_bytes_received(len(responders), shape, ctx=scheme.ctx),
-        output_digest=c.digest(),
+        output=c,
         arrival_times=arrival_times,
     )
     return c, report
@@ -238,6 +246,6 @@ def run_with_faults(
         decode_time=0.0,
         responders=[r.worker_id for r in results],
         bytes_received=_bytes_received(len(results), shape, scheme.ctx),
-        output_digest=c.digest(),
+        output=c,
     )
     return c, report

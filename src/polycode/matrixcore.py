@@ -6,7 +6,10 @@ enforces it). Values from outside are reduced once, at the input boundary
 product over F_q and runs through one kernel, `mulmod`: the operands are split
 into b-bit limbs, multiplied with float64 BLAS, which is exact while every
 partial sum stays below 2**53, and recombined mod q in int64 (the FFLAS-FFPACK
-approach of Dumas, Giorgi and Pernet).
+approach of Dumas, Giorgi and Pernet). Both operands are split into L limbs
+(k * (2**b - 1)**2 < 2**53, L**2 products), unless splitting only the left
+one into L' limbs and passing the right one whole is exact
+(k * (2**bits - 1) * (2**b - 1) < 2**53) and needs fewer products, L' < L**2.
 """
 
 from __future__ import annotations
@@ -46,59 +49,78 @@ def canonical(values, q: int) -> np.ndarray:
 
 
 def _limbs(bits: int, k: int) -> tuple:
-    """Limb width b and limb count L for `bits`-bit entries at inner dimension k.
+    """(x width, x count, y width, y count): how `mulmod` splits its operands
+    of `bits`-bit entries at inner dimension k into limbs.
 
-    b is the widest width with k * (2**b - 1)**2 < 2**53, so a float64 product
-    of two limb matrices is exact; it is then narrowed to the smallest width
-    that still needs only L limbs.
+    Symmetric split: both operands in L limbs of width b, the widest width
+    with k * (2**b - 1)**2 < 2**53, narrowed to the smallest width that still
+    needs only L limbs. One-sided split: y whole and x in L' limbs of width w,
+    the widest with k * (2**bits - 1) * (2**w - 1) < 2**53, narrowed the same
+    way. Either way every float64 limb product is exact. The one-sided split
+    is chosen whenever its L' products are fewer than the symmetric L**2.
     """
+    # The widest w with 2**w - 1 <= B is (B + 1).bit_length() - 1. B is
+    # isqrt((2**53 - 1) // k) for both operands split, and
+    # (2**53 - 1) // (k * (2**bits - 1)) for x split and y whole.
     k = max(k, 1)
-    width = min(bits, _EXACT_BITS // 2)
-    while k * ((1 << width) - 1) ** 2 >= 1 << _EXACT_BITS:
-        width -= 1
+    most = (1 << _EXACT_BITS) - 1
+    width = min(bits, (math.isqrt(most // k) + 1).bit_length() - 1)
     count = -(-bits // width)
-    return -(-bits // count), count
+    x_width = min(bits, (most // (k * ((1 << bits) - 1)) + 1).bit_length() - 1)
+    if x_width and -(-bits // x_width) < count * count:
+        count = -(-bits // x_width)
+        return -(-bits // count), count, bits, 1
+    width = -(-bits // count)
+    return width, count, width, count
+
+
+def _split(a: np.ndarray, width: int, count: int) -> np.ndarray:
+    """(count, *a.shape) limbs of `width` bits, lowest first; a itself if count is 1."""
+    if count == 1:
+        return a[None]
+    shifts = np.arange(0, width * count, width, dtype=np.int64)[:, None, None]
+    return (a[None] >> shifts) & ((1 << width) - 1)
 
 
 def mulmod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     """Exact (x @ y) mod q for canonical int64 operands and q < 2**62.
 
-    Both operands are split into L limbs of b bits, x = sum_i 2**(b*i) x_i.
-    One float64 BLAS product of the stacked limbs yields every x_i @ y_j
-    exactly. Each goes to int64 before the diagonals
-    D_d = sum_{i+j=d} x_i @ y_j are summed, and Horner steps mod q
-    recombine sum_d 2**(b*d) D_d. A diagonal is built only when its Horner
-    step needs it, so besides the float products only a few n x p int64
-    arrays are live at once, not an int64 copy of all L**2 products.
+    x is split into Lx limbs of b bits, x = sum_i 2**(b*i) x_i, and y into
+    Ly limbs (`_limbs`): either Ly = Lx, with y's limbs b bits wide too, or
+    Ly = 1 and y goes to BLAS whole, which is exact while
+    k * (2**bits - 1) * (2**b - 1) < 2**53. At q = 2**31 - 1 the one-sided
+    split takes 2 products instead of 4 for k <= 64, and 3 for k <= 2049; at
+    q = 2**61 - 1 its bound never holds. One float64 BLAS product of the
+    stacked limbs yields every x_i @ y_j exactly, each an n x p block. Horner
+    steps mod q recombine sum_d 2**(b*d) D_d over the diagonals
+    D_d = sum_{i+j=d} x_i @ y_j; with Ly = 1 a diagonal is one product. The
+    products are added into the int64 accumulator as numpy casts them, so
+    besides the float products only the n x p result is allocated.
     """
     n, k = x.shape
     p = y.shape[1]
     bits = (q - 1).bit_length()
-    width, count = _limbs(bits, k)
-    shifts = np.arange(0, width * count, width, dtype=np.int64)[:, None, None]
-    mask = (1 << width) - 1
-    x_limbs = ((x[None] >> shifts) & mask).reshape(count * n, k)
-    y_limbs = ((y[None] >> shifts) & mask).transpose(1, 0, 2).reshape(k, count * p)
-    prods = (x_limbs.astype(np.float64) @ y_limbs.astype(np.float64)).reshape(count, n, count, p)
-
-    def diag(d):
-        terms = range(max(0, d - count + 1), min(d, count - 1) + 1)
-        out = prods[terms[0], :, d - terms[0]].astype(np.int64)
-        for i in terms[1:]:
-            out += prods[i, :, d - i].astype(np.int64)
-        return out
+    width, x_count, y_width, y_count = _limbs(bits, k)
+    x_limbs = _split(x, width, x_count).reshape(x_count * n, k)
+    y_limbs = _split(y, y_width, y_count).transpose(1, 0, 2).reshape(k, y_count * p)
+    prods = (x_limbs.astype(np.float64) @ y_limbs.astype(np.float64)).reshape(x_count, n, y_count, p)
 
     # With acc < q, acc << step stays below 2**63 and acc << (step - 1) below
     # 2**62. A diagonal is below L * 2**53 <= 2**59, so the last shift of
     # each Horner step and the add fit in int64 before one reduction.
     step = 63 - bits
-    acc = diag(2 * count - 2) % q
-    for d in range(2 * count - 3, -1, -1):
+    acc = prods[x_count - 1, :, y_count - 1].astype(np.int64)
+    acc %= q
+    for d in range(x_count + y_count - 3, -1, -1):
         left = width
         while left >= step:
-            acc = (acc << step) % q
+            acc <<= step
+            acc %= q
             left -= step
-        acc = ((acc << left) + diag(d)) % q
+        acc <<= left
+        for i in range(max(0, d - y_count + 1), min(d, x_count - 1) + 1):
+            np.add(acc, prods[i, :, d - i], out=acc, dtype=np.int64, casting="unsafe")
+        acc %= q
     return acc
 
 

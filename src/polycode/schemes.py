@@ -241,7 +241,14 @@ class Scheme:
             for i, (ja, kb, x) in enumerate(placement)
         ]
 
-    def decodable(self, responded: set, shape: ProblemShape) -> bool:
+    def decodable(self, responded, shape: ProblemShape) -> bool:
+        """Whether the blocks of the `responded` worker ids determine the
+        product. Ids outside range(num_shares) belong to no worker and are
+        ignored."""
+        total = self.num_shares(shape)
+        return self._decodable({i for i in responded if 0 <= i < total}, shape)
+
+    def _decodable(self, ids: set, shape: ProblemShape) -> bool:
         raise NotImplementedError
 
     def _select(self, results: list, shares: list, shape: ProblemShape) -> dict:
@@ -304,8 +311,8 @@ class PolyScheme(Scheme):
         b_gen = _vandermonde(pts, [k * params.beta for k in range(shape.n)], self.ctx)
         return a_gen, b_gen, [(i, i, x) for i, x in enumerate(pts)]
 
-    def decodable(self, responded: set, shape: ProblemShape) -> bool:
-        return len(responded) >= self.required_results(shape)
+    def _decodable(self, ids: set, shape: ProblemShape) -> bool:
+        return len(ids) >= self.required_results(shape)
 
     def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
         # Interpolate from the lowest worker ids, so the work is deterministic.
@@ -394,10 +401,10 @@ class Mds1dScheme(Scheme):
         gen = systematic_generator(g, shape.m, self.ctx)
         return gen, None, [(i % g, i // g, None) for i in range(shape.N)]
 
-    def decodable(self, responded: set, shape: ProblemShape) -> bool:
+    def _decodable(self, ids: set, shape: ProblemShape) -> bool:
         g = self.group_size(shape)
         counts = [0] * shape.n
-        for i in responded:
+        for i in ids:
             counts[i // g] += 1
         return all(c >= shape.m for c in counts)
 
@@ -482,9 +489,9 @@ class ProductScheme(Scheme):
                     stack.append(range(c, side * side, side))
         return known, order
 
-    def decodable(self, responded: set, shape: ProblemShape) -> bool:
+    def _decodable(self, ids: set, shape: ProblemShape) -> bool:
         side = self.grid_side(shape)
-        known, _ = self._peel_known(responded, side, shape.m)
+        known, _ = self._peel_known(ids, side, shape.m)
         return all(r * side + c in known for r in range(shape.m) for c in range(shape.m))
 
     def peel_latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
@@ -549,8 +556,8 @@ class UncodedScheme(Scheme):
         n = shape.n
         return None, None, [(i // n, i % n, None) for i in range(shape.m * n)]
 
-    def decodable(self, responded: set, shape: ProblemShape) -> bool:
-        return set(range(shape.m * shape.n)) <= set(responded)
+    def _decodable(self, ids: set, shape: ProblemShape) -> bool:
+        return len(ids) == shape.m * shape.n
 
     def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
         n = shape.n

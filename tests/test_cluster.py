@@ -10,7 +10,7 @@ from polycode.cluster import (
 from polycode.errors import DecodingFailure, InvalidParameters
 from polycode.field import FieldCtx
 from polycode.matrixcore import FMatrix, ProblemShape, transpose_mul
-from polycode.schemes import Mds1dScheme, PolyScheme, UncodedScheme
+from polycode.schemes import Mds1dScheme, PolyScheme, UncodedScheme, get_scheme
 from polycode.sim import LatencyModel
 
 BIG = FieldCtx()
@@ -147,3 +147,55 @@ class TestFaultRuns:
         a, b, _ = make_instance(self.SHAPE12)
         with pytest.raises(InvalidParameters):
             run_with_faults(UncodedScheme(BIG), a, b, self.SHAPE12, corrupt=set())
+
+
+class TestOutputDigest:
+    """The report hashes its output only when `output_digest` is read."""
+
+    # sha256 of the 4x4 product of make_instance(s=8, r=4, t=4), as every
+    # report gave it when each run computed the digest itself.
+    PINNED = "28931d55db16fbfa6326cff85e07e27ec04c804b24dbfaf11236e11b23fa3726"
+    SHAPES = {
+        "poly": ProblemShape(s=8, r=4, t=4, m=2, n=2, N=9),
+        "mds1d": ProblemShape(s=8, r=4, t=4, m=2, n=2, N=8),
+        "product": ProblemShape(s=8, r=4, t=4, m=2, n=2, N=9),
+        "uncoded": ProblemShape(s=8, r=4, t=4, m=2, n=2, N=9),
+    }
+
+    @pytest.fixture
+    def digest_calls(self, monkeypatch):
+        calls = []
+        digest = FMatrix.digest
+
+        def counted(mat):
+            calls.append(mat)
+            return digest(mat)
+
+        monkeypatch.setattr(FMatrix, "digest", counted)
+        return calls
+
+    def test_runs_compute_no_digest(self, digest_calls):
+        plan = StragglerPlan(mode="slow_random", factor=3.0)
+        for name, shape in self.SHAPES.items():
+            a, b, _ = make_instance(shape)
+            run(get_scheme(name, BIG), a, b, shape, plan=plan, seed=5)
+        a, b, _ = make_instance(TestFaultRuns.SHAPE12)
+        run_with_faults(PolyScheme(BIG), a, b, TestFaultRuns.SHAPE12, corrupt={1, 4}, seed=2)
+        assert digest_calls == []
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_reading_the_digest_gives_the_pinned_bytes(self, name, digest_calls):
+        shape = self.SHAPES[name]
+        a, b, _ = make_instance(shape)
+        plan = StragglerPlan(mode="slow_random", factor=3.0)
+        c, rep = run(get_scheme(name, BIG), a, b, shape, plan=plan, seed=5)
+        assert rep.output_digest == self.PINNED
+        assert digest_calls == [c]
+        assert f'"output_digest": "{self.PINNED}"' in rep.to_json()
+        assert "output=" not in repr(rep)
+
+    def test_fault_run_digest_is_pinned(self):
+        shape = TestFaultRuns.SHAPE12
+        a, b, _ = make_instance(shape)
+        _, rep = run_with_faults(PolyScheme(BIG), a, b, shape, corrupt={1, 4, 8, 11}, seed=2)
+        assert rep.output_digest == self.PINNED

@@ -442,6 +442,43 @@ def test_decode_keeps_the_first_result_of_each_known_worker(name, q, data):
             assert len(distinct) == total and got == oracle
 
 
+@settings(deadline=None, max_examples=300)
+@given(
+    name=st.sampled_from(sorted(SELECTION_SHAPES)),
+    big_n=st.integers(4, 16),
+    data=st.data(),
+)
+def test_decodable_ignores_ids_of_no_worker(name, big_n, data):
+    """decodable answers for the worker ids among its argument only: foreign
+    ids (negative, or num_shares and beyond) change nothing and raise
+    nothing. A shape the scheme rejects may raise, but only a PolycodeError."""
+    shape = dataclasses.replace(SELECTION_SHAPES[name], N=big_n)
+    scheme = get_scheme(name, BIG)
+    total = scheme.num_shares(shape)
+    ids = data.draw(st.sets(st.integers(-3 * total, 3 * total)), label="ids")
+    try:
+        got = scheme.decodable(ids, shape)
+    except PolycodeError:
+        with pytest.raises(PolycodeError):
+            scheme.decodable(set(), shape)
+        return
+    assert got == scheme.decodable({i for i in ids if 0 <= i < total}, shape)
+
+
+@pytest.mark.parametrize(
+    "name,big_n,ids",
+    [
+        ("mds1d", 8, {0, 1, -1, -2}),
+        ("mds1d", 8, {0, 1, 4, 99}),
+        ("product", 9, {0, 1, 3, 99}),
+        ("poly", 9, {-1, -2, 99, 100}),
+    ],
+)
+def test_foreign_ids_do_not_count(name, big_n, ids):
+    shape = ProblemShape(s=4, r=2, t=2, m=2, n=2, N=big_n)
+    assert not get_scheme(name, BIG).decodable(ids, shape)
+
+
 class TestUncoded:
     def test_requires_every_worker(self):
         shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=5)
