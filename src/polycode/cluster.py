@@ -1,18 +1,20 @@
 """In-process master/worker harness with straggler injection.
 
-Workers finish at sampled virtual times (deterministic and fast, the default)
-or on real threads with wall-clock sleeps (demo mode). The master consumes
-results in completion order, re-checks the scheme's decodability predicate on
-every arrival, decodes at the first hit, and ignores everything after.
+The master takes worker results in completion order and decodes at the first
+prefix that the scheme's decodability predicate accepts. Two clocks feed that
+one loop. The virtual clock (the default, deterministic) takes the workers in
+order of sampled time and computes each one only when it is reached. The
+threads clock runs each worker on a joined thread pool that waits out the
+worker's sampled time before computing, and measures wall-clock time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import queue
 import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,16 +38,14 @@ class StragglerPlan:
       none            -- times straight from the base model
       slow_random     -- one uniformly picked worker's time multiplied by `factor`
       per_worker      -- completion times given explicitly in `delays`
-      model_sampled   -- times from `model` instead of the base model
     """
 
     mode: str = "none"
     factor: float = 2.0
     delays: tuple = None
-    model: LatencyModel = None
 
     def __post_init__(self):
-        if self.mode not in ("none", "slow_random", "per_worker", "model_sampled"):
+        if self.mode not in ("none", "slow_random", "per_worker"):
             raise InvalidParameters(f"unknown straggler plan mode {self.mode!r}")
         if self.factor < 1:
             raise InvalidParameters("slowdown factor must be >= 1")
@@ -53,16 +53,13 @@ class StragglerPlan:
             self.delays is None or any(d < 0 for d in self.delays)
         ):
             raise InvalidParameters("per_worker plan needs nonnegative delays")
-        if self.mode == "model_sampled" and self.model is None:
-            raise InvalidParameters("model_sampled plan needs a model")
 
     def sample_times(self, n: int, rng: np.random.Generator, base_model: LatencyModel) -> np.ndarray:
         if self.mode == "per_worker":
             if len(self.delays) < n:
                 raise InvalidParameters(f"plan provides {len(self.delays)} delays for {n} workers")
             return np.asarray(self.delays[:n], dtype=float)
-        model = self.model if self.mode == "model_sampled" else base_model
-        times = model.sample(n, rng)
+        times = base_model.sample(n, rng)
         if self.mode == "slow_random":
             victim = int(rng.integers(0, n))
             times[victim] *= self.factor
@@ -114,6 +111,32 @@ def _bytes_received(used: int, shape: ProblemShape, ctx: FieldCtx) -> int:
     return used * shape.block_rows * shape.block_cols * _bytes_per_element(ctx)
 
 
+def _thread_arrivals(shares, delays):
+    """Yield (worker id, result, seconds since start) as pool workers finish.
+
+    A worker that raises yields nothing. Closing the generator releases the
+    workers still waiting out their delay, and joins every thread.
+    """
+    from concurrent import futures
+
+    stop = threading.Event()
+
+    def work(i):
+        return None if stop.wait(delays[i]) else worker_compute(shares[i])
+
+    t0 = time.perf_counter()
+    with futures.ThreadPoolExecutor(len(shares)) as pool:
+        pending = {pool.submit(work, i): i for i in range(len(shares))}
+        try:
+            for done in futures.as_completed(pending, timeout=60.0):
+                if done.exception() is None:
+                    yield pending[done], done.result(), time.perf_counter() - t0
+        except futures.TimeoutError:
+            raise HarnessTimeout("no decodable response set formed within 60s") from None
+        finally:
+            stop.set()
+
+
 def run(
     scheme: Scheme,
     a: FMatrix,
@@ -125,9 +148,23 @@ def run(
     clock: str = "virtual",
     time_scale: float = 1.0,
 ):
-    """Execute one coded multiplication and return (C, RunReport)."""
+    """Execute one coded multiplication and return (C, RunReport).
+
+    `plan` draws each worker's completion time from `base_model` (default
+    `LatencyModel()`) with `default_rng(seed)`. The master decodes at the
+    first decodable prefix of the results in completion order. On the virtual
+    clock the times are virtual seconds and `decode_time` is modeled. On the
+    threads clock each worker runs on a pool thread and waits `time_scale`
+    times its sampled time before computing; every time in the report is then
+    measured, and once the master can decode, workers still waiting return
+    without computing. A worker that raises is an erasure. Every thread is
+    joined before `run` returns or raises. HarnessTimeout is raised when all
+    workers have finished without a decodable set, or after 60 s of threads.
+    """
     if clock not in ("virtual", "threads"):
         raise InvalidParameters(f"unknown clock mode {clock!r}")
+    if not 0 <= time_scale < math.inf:
+        raise InvalidParameters("time_scale must be finite and >= 0")
     scheme.validate(shape)
     base_model = base_model or LatencyModel()
     rng = np.random.default_rng(seed)
@@ -136,61 +173,33 @@ def run(
     times = plan.sample_times(shape.N, rng, base_model)
     shares = scheme.encode(a, b, shape)
     worker_times = times[: len(shares)]
-
     if clock == "virtual":
-        arrivals = sorted(range(len(shares)), key=lambda i: (worker_times[i], i))
-        results = []
-        responders = []
-        arrival_times = []
-        decode_fire = None
-        for i in arrivals:
-            results.append(worker_compute(shares[i]))
-            responders.append(i)
-            arrival_times.append((i, float(worker_times[i])))
-            if scheme.decodable(responders, shape):
-                decode_fire = float(worker_times[i])
-                break
-        if decode_fire is None:
-            raise HarnessTimeout("no decodable response set formed")
-        c = scheme.decode(results, shares, shape)
-        decode_time = scheme.decode_op_estimate(shape) * DECODE_SECONDS_PER_OP
-        wall = decode_fire + decode_time
+        order = sorted(range(len(shares)), key=lambda i: (worker_times[i], i))
+        arrivals = ((i, worker_compute(shares[i]), float(worker_times[i])) for i in order)
     else:
-        out_q = queue.Queue()
+        arrivals = _thread_arrivals(shares, worker_times * time_scale)
 
-        def work(idx):
-            time.sleep(worker_times[idx] * time_scale)
-            out_q.put((idx, worker_compute(shares[idx]), time.perf_counter()))
-
-        t0 = time.perf_counter()
-        threads = [
-            threading.Thread(target=work, args=(i,), daemon=True)
-            for i in range(len(shares))
-        ]
-        for t in threads:
-            t.start()
-        results = []
-        responders = []
-        arrival_times = []
-        while True:
-            try:
-                idx, res, stamp = out_q.get(timeout=60.0)
-            except queue.Empty:
-                raise HarnessTimeout("no decodable response set formed within 60s")
-            results.append(res)
-            responders.append(idx)
-            arrival_times.append((idx, stamp - t0))
+    results, responders, arrival_times = [], [], []
+    with closing(arrivals):
+        for i, result, fire in arrivals:
+            results.append(result)
+            responders.append(i)
+            arrival_times.append((i, fire))
             if scheme.decodable(responders, shape):
                 break
-        dec0 = time.perf_counter()
-        c = scheme.decode(results, shares, shape)
+        else:
+            raise HarnessTimeout("no decodable response set formed")
+    dec0 = time.perf_counter()
+    c = scheme.decode(results, shares, shape)
+    if clock == "virtual":
+        decode_time = scheme.decode_op_estimate(shape) * DECODE_SECONDS_PER_OP
+    else:
         decode_time = time.perf_counter() - dec0
-        wall = (time.perf_counter() - t0 - decode_time) + decode_time
 
     report = RunReport(
         scheme=scheme.name,
         seed=seed,
-        wall_latency=wall,
+        wall_latency=fire + decode_time,
         decode_time=decode_time,
         responders=responders,
         bytes_received=_bytes_received(len(responders), shape, ctx=scheme.ctx),

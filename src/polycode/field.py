@@ -324,37 +324,28 @@ def check_embedding_bound(s: int, max_a: float, max_b: float, precision_bits: in
 
 
 def embed_reals(values, precision_bits: int, ctx: FieldCtx):
-    """Fixed-point embedding of reals into F_q.
+    """Fixed-point embedding of reals into F_q, as an int64 array.
 
     Nonnegative v maps to round(v * 2**p); negative v to q - round(|v| * 2**p).
-    The scaled magnitude of each input must fit in [0, q//2].
+    The scaled magnitude of each input must fit in [0, q//2]; NaN and +-inf
+    never do.
     """
     import numpy as np
 
-    arr = np.asarray(values, dtype=float)
-    scale = float(1 << precision_bits)
-    scaled = np.rint(arr * scale).astype(object)
     half = ctx.q // 2
-    flat = scaled.reshape(-1)
-    out = np.empty(flat.shape, dtype=object)
-    for i, v in enumerate(flat):
-        v = int(v)
-        if abs(v) > half:
-            raise RangeOverflow(f"scaled value {v} exceeds field half-range {half}")
-        out[i] = v % ctx.q
-    return out.reshape(arr.shape)
+    # The largest float <= half; float(half) itself may round above it.
+    limit = float(half) if int(float(half)) <= half else np.nextafter(float(half), 0)
+    with np.errstate(over="ignore"):
+        scaled = np.rint(np.asarray(values, dtype=float) * float(1 << precision_bits))
+    fits = np.abs(scaled) <= limit
+    if not fits.all():
+        raise RangeOverflow(f"scaled value {scaled[~fits][0]:.0f} exceeds field half-range {half}")
+    return scaled.astype(np.int64) % ctx.q
 
 
 def unembed_reals(values, precision_bits: int, ctx: FieldCtx):
     """Inverse of embed_reals: symmetric decode then fixed-point unscale."""
     import numpy as np
 
-    arr = np.asarray(values, dtype=object)
-    half = ctx.q // 2
-    scale = float(1 << precision_bits)
-    flat = arr.reshape(-1)
-    out = np.empty(flat.shape, dtype=float)
-    for i, v in enumerate(flat):
-        v = int(v) % ctx.q
-        out[i] = (v if v <= half else v - ctx.q) / scale
-    return out.reshape(arr.shape)
+    v = np.asarray(values, dtype=np.int64) % ctx.q
+    return np.where(v > ctx.q // 2, v - ctx.q, v) / float(1 << precision_bits)

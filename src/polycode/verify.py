@@ -35,7 +35,8 @@ def brute_force_threshold(scheme, shape: ProblemShape) -> int:
 
 
 def sweep_decode_subsets(scheme, shape: ProblemShape, ctx: FieldCtx, seed: int = 7) -> int:
-    """Decode every decodable subset and compare with the direct product.
+    """Decode every response subset: each decodable one must give the direct
+    product, and each other one must raise NotEnoughResults.
 
     Returns the number of subsets decoded.
     """
@@ -46,10 +47,16 @@ def sweep_decode_subsets(scheme, shape: ProblemShape, ctx: FieldCtx, seed: int =
     workers = range(len(shares))
     for k in range(1, len(shares) + 1):
         for subset in combinations(workers, k):
-            if not scheme.decodable(set(subset), shape):
-                continue
-            c = scheme.decode([results[i] for i in subset], shares, shape)
-            if c != oracle:
+            picked = [results[i] for i in subset]
+            if not scheme.decodable(subset, shape):
+                try:
+                    scheme.decode(picked, shares, shape)
+                except NotEnoughResults:
+                    continue
+                except Exception as exc:
+                    raise AssertionError(f"{scheme.name}: subset {subset} raised {exc!r}") from exc
+                raise AssertionError(f"{scheme.name}: decoded non-decodable subset {subset}")
+            if scheme.decode(picked, shares, shape) != oracle:
                 raise AssertionError(f"{scheme.name}: wrong decode on subset {subset}")
             decoded += 1
     return decoded
@@ -61,15 +68,6 @@ def suite_poly_example(ctx7: FieldCtx = None):
     shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=5)
     scheme = PolyScheme(ctx)
     count = sweep_decode_subsets(scheme, shape, ctx)
-    a, b, _ = _random_instance(shape, ctx, 7)
-    shares = scheme.encode(a, b, shape)
-    results = [worker_compute(s) for s in shares]
-    for subset in combinations(range(5), 3):
-        try:
-            scheme.decode([results[i] for i in subset], shares, shape)
-        except NotEnoughResults:
-            continue
-        raise AssertionError(f"3-subset {subset} decoded below the threshold")
     assert brute_force_threshold(scheme, shape) == 4
     return f"poly F7 example: {count} decodable subsets exact, threshold 4"
 

@@ -1,10 +1,13 @@
 import json
 
 import numpy as np
+import pytest
 
 from polycode.cli import _parse_range, main
 from polycode.field import FieldCtx
-from polycode.matrixcore import FMatrix, save_matrix
+from polycode.matrixcore import FMatrix, ProblemShape, save_matrix
+from polycode.schemes import PolyScheme
+from polycode.verify import sweep_decode_subsets
 
 F7 = FieldCtx(7)
 
@@ -153,3 +156,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("[PASS]") >= 4
+
+    class Unchecked(PolyScheme):
+        """Solves whatever it is given, without the decodability check."""
+
+        def _select(self, results, shares, shape):
+            return {r.worker_id: r.c_tilde for r in results}
+
+    class Constant(PolyScheme):
+        """Returns a product for any subset."""
+
+        def decode(self, results, shares, shape):
+            return FMatrix.zeros(4, 4, F7)
+
+    @pytest.mark.parametrize("mutant", [Unchecked, Constant])
+    def test_sweep_requires_not_enough_results_below_the_threshold(self, mutant):
+        shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=5)
+        with pytest.raises(AssertionError, match=r"subset \(0,\)"):
+            sweep_decode_subsets(mutant(F7), shape, F7)

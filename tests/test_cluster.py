@@ -1,13 +1,23 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import polycode
+from polycode import cluster
 from polycode.cluster import (
     DECODE_SECONDS_PER_OP,
     StragglerPlan,
     run,
     run_with_faults,
 )
-from polycode.errors import DecodingFailure, InvalidParameters
+from polycode.errors import DecodingFailure, HarnessTimeout, InvalidParameters
 from polycode.field import FieldCtx
 from polycode.matrixcore import FMatrix, ProblemShape, transpose_mul
 from polycode.schemes import Mds1dScheme, PolyScheme, UncodedScheme, get_scheme
@@ -49,6 +59,16 @@ class TestStragglerPlan:
         rng = np.random.default_rng(1)
         times = plan.sample_times(6, rng, base)
         assert sorted(times)[:-1] == [1.0] * 5 and max(times) == 10.0
+
+    def test_base_model_drives_the_default_plan(self):
+        # A plan with no mode of its own draws every time from `base_model`.
+        model = LatencyModel(kind="shifted_exponential", shift=2.5, rate=4.0)
+        a, b, oracle = make_instance(SHAPE5)
+        c, rep = run(PolyScheme(BIG), a, b, SHAPE5, plan=StragglerPlan(), seed=13, base_model=model)
+        expect = model.sample(SHAPE5.N, np.random.default_rng(13))
+        assert c == oracle
+        assert rep.arrival_times == [(i, float(expect[i])) for i in rep.responders]
+        assert rep.responders == sorted(range(5), key=lambda i: (expect[i], i))[:4]
 
 
 class TestVirtualRuns:
@@ -102,6 +122,13 @@ class TestVirtualRuns:
         with pytest.raises(InvalidParameters):
             run(PolyScheme(BIG), a, b, SHAPE5, clock="sundial")
 
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("clock", ["virtual", "threads"])
+    def test_bad_time_scale_rejected(self, clock, scale):
+        a, b, _ = make_instance(SHAPE5)
+        with pytest.raises(InvalidParameters):
+            run(PolyScheme(BIG), a, b, SHAPE5, clock=clock, time_scale=scale)
+
 
 class TestThreadsClock:
     def test_small_real_run_matches_oracle(self):
@@ -113,6 +140,60 @@ class TestThreadsClock:
         assert c == oracle
         assert rep.wall_latency > 0 and rep.decode_time >= 0
         assert len(rep.responders) >= 2
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """Records the ids that compute in `ran`; the ids in `fail` raise."""
+        log = SimpleNamespace(ran=[], fail=set())
+        compute = cluster.worker_compute
+
+        def tracked(share):
+            log.ran.append(share.worker_id)
+            if share.worker_id in log.fail:
+                raise RuntimeError(f"worker {share.worker_id} crashed")
+            return compute(share)
+
+        monkeypatch.setattr(cluster, "worker_compute", tracked)
+        return log
+
+    def test_crashed_worker_is_an_erasure(self, workers):
+        workers.fail.add(0)
+        a, b, oracle = make_instance(SHAPE5)
+        before = threading.active_count()
+        c, rep = run(PolyScheme(BIG), a, b, SHAPE5, seed=2, clock="threads", time_scale=0.01)
+        assert c == oracle
+        assert sorted(rep.responders) == [1, 2, 3, 4]
+        assert threading.active_count() == before
+
+    def test_crash_below_threshold_times_out_at_once(self, workers):
+        workers.fail.add(0)
+        shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=4)
+        a, b, _ = make_instance(shape)
+        before = threading.active_count()
+        start = time.perf_counter()
+        with pytest.raises(HarnessTimeout):
+            run(UncodedScheme(BIG), a, b, shape, seed=2, clock="threads", time_scale=0.01)
+        assert time.perf_counter() - start < 5.0
+        assert threading.active_count() == before
+
+    def test_straggler_released_and_joined(self, workers):
+        a, b, oracle = make_instance(SHAPE5)
+        plan = StragglerPlan(mode="per_worker", delays=(0.01, 0.02, 0.03, 0.04, 30.0))
+        before = threading.active_count()
+        start = time.perf_counter()
+        c, rep = run(PolyScheme(BIG), a, b, SHAPE5, plan=plan, clock="threads", time_scale=1)
+        assert time.perf_counter() - start < 5.0
+        assert c == oracle and rep.responders == [0, 1, 2, 3]
+        assert threading.active_count() == before
+        assert sorted(workers.ran) == [0, 1, 2, 3]  # worker 4 never computed
+
+    def test_import_leaves_the_pool_module_unloaded(self):
+        code = "import sys, polycode; print('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(polycode.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestFaultRuns:

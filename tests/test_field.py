@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from polycode.errors import (
@@ -235,3 +236,66 @@ class TestRealEmbedding:
         with pytest.raises(RangeOverflow):
             check_embedding_bound(32, 1.0, 1.0, 10, FieldCtx(2**13 - 1))
         check_embedding_bound(32, 1.0, 1.0, 10, BIG)
+
+    def test_range_check_is_exact_in_integers(self):
+        # Half is 2^60 - 1 here, and float(half) rounds up to 2^60.
+        q61 = FieldCtx(2**61 - 1)
+        with pytest.raises(RangeOverflow):
+            embed_reals([[2.0**60]], 0, q61)
+        below = float(np.nextafter(2.0**60, 0))
+        assert embed_reals([[below, -below]], 0, q61).tolist() == [[int(below), q61.q - int(below)]]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_overflow(self, bad):
+        with pytest.raises(RangeOverflow):
+            embed_reals([[1.0, bad]], 4, BIG)
+
+    def test_returns_int64(self):
+        assert embed_reals([[1.5, -2.25]], 2, BIG).dtype == np.int64
+
+
+def _embed_reals_by_loop(values, precision_bits, ctx):
+    """The element-by-element embedding that the vectorised one replaced."""
+    arr = np.asarray(values, dtype=float)
+    out = []
+    for v in np.rint(arr * float(1 << precision_bits)).reshape(-1):
+        v = int(v)
+        if abs(v) > ctx.q // 2:
+            raise RangeOverflow(f"scaled value {v} exceeds field half-range")
+        out.append(v % ctx.q)
+    return out
+
+
+def _unembed_reals_by_loop(values, precision_bits, ctx):
+    out = []
+    for v in np.asarray(values, dtype=object).reshape(-1):
+        v = int(v) % ctx.q
+        out.append((v if v <= ctx.q // 2 else v - ctx.q) / float(1 << precision_bits))
+    return out
+
+
+@pytest.mark.parametrize("q", [101, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("precision_bits", [0, 3, 10])
+def test_embedding_matches_the_element_loop(q, precision_bits):
+    ctx = FieldCtx(q)
+    half, scale = q // 2, float(1 << precision_bits)
+    rng = np.random.default_rng(q + precision_bits)
+    edge = half / scale
+    near = [np.nextafter(edge, 0), edge, np.nextafter(edge, np.inf)]
+    near += [edge + d / scale for d in (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5)]
+    near += list(rng.uniform(-1.01 * edge, 1.01 * edge, size=40))
+    fitting = []
+    for v in [v for x in near for v in (x, -x)] + [0.0, -0.0]:
+        try:
+            expect = _embed_reals_by_loop([v], precision_bits, ctx)
+        except RangeOverflow:
+            with pytest.raises(RangeOverflow):
+                embed_reals([v], precision_bits, ctx)
+            continue
+        assert embed_reals([v], precision_bits, ctx).tolist() == expect
+        fitting.append(v)
+    got = embed_reals(np.reshape(fitting, (2, -1)), precision_bits, ctx)
+    assert got.reshape(-1).tolist() == _embed_reals_by_loop(fitting, precision_bits, ctx)
+    field_values = [0, 1, half - 1, half, half + 1, q - 1] + list(rng.integers(0, q, size=40))
+    back = unembed_reals(np.reshape(field_values, (2, -1)), precision_bits, ctx)
+    assert back.reshape(-1).tolist() == _unembed_reals_by_loop(field_values, precision_bits, ctx)
