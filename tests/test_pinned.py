@@ -1,5 +1,5 @@
-"""Pinned outputs: the exact shares each scheme hands its workers, and the
-exact `polycode run` report.
+"""Pinned outputs: the exact shares each scheme hands its workers, the exact
+`polycode run` report and the exact `polycode sim` files.
 
 A placement that gives worker i the wrong coded block can still decode
 correctly, so only a pinned digest catches it. The digests were recorded
@@ -43,6 +43,22 @@ RUN_DIGESTS = {
     "uncoded": "a0e892d3ee39d8a54411e9c91a4d5bd302db09c8dd23698aacc9805b8a6e0036",
 }
 
+# sha256 of each file `polycode sim <args> --out-dir <dir>` writes, for all
+# four schemes. The deterministic model makes every arrival tie. Recorded
+# before the simulator asked each scheme for its own recovery rule.
+SIM_DIGESTS = {
+    "--N 16 --m 2 --n 2 --trials 300 --seed 5": {
+        "latency.csv": "794dbff1f49d04772e20c83ec1eb567c2d277f74d358b25480fc624702e3716d",
+        "ccdf.csv": "cafa740996e1830596e294648021f196458486b0990a429e576cff87995d0c6b",
+        "summary.json": "327fe84423ff4202b097855eaa259a17a97bce56d1cedaa6733b1456abb2b0ca",
+    },
+    "--N 36 --m 3 --n 3 --trials 200 --seed 8 --model deterministic --value 2.5": {
+        "latency.csv": "37af82fbf862f7a9cab39098016252f9572a0655493da8e92edbe355a5cb3033",
+        "ccdf.csv": "a05761a14dfaf6533c615a0a6c26052154399fd1e85c3b789f7bc004e87b03fc",
+        "summary.json": "1524c33bcdb0c94245275df5487681628b2ba50855980704cc812d429a11cee5",
+    },
+}
+
 
 def share_digest(name: str, q: int) -> str:
     """One sha256 over every share's id, point and coded blocks, in order."""
@@ -70,3 +86,10 @@ def test_run_report_is_pinned(name, capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == RUN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("args", sorted(SIM_DIGESTS))
+def test_sim_files_are_pinned(args, tmp_path, capsys):
+    assert main(["sim", *args.split(), "--out-dir", str(tmp_path)]) == 0
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in SIM_DIGESTS[args]}
+    assert got == SIM_DIGESTS[args]
