@@ -47,12 +47,13 @@ class StragglerPlan:
     def __post_init__(self):
         if self.mode not in ("none", "slow_random", "per_worker"):
             raise InvalidParameters(f"unknown straggler plan mode {self.mode!r}")
-        if self.factor < 1:
-            raise InvalidParameters("slowdown factor must be >= 1")
+        # `not a <= v < inf` also rejects NaN.
+        if not 1 <= self.factor < math.inf:
+            raise InvalidParameters("slowdown factor must be finite and >= 1")
         if self.mode == "per_worker" and (
-            self.delays is None or any(d < 0 for d in self.delays)
+            self.delays is None or not all(0 <= d < math.inf for d in self.delays)
         ):
-            raise InvalidParameters("per_worker plan needs nonnegative delays")
+            raise InvalidParameters("per_worker plan needs finite nonnegative delays")
 
     def sample_times(self, n: int, rng: np.random.Generator, base_model: LatencyModel) -> np.ndarray:
         if self.mode == "per_worker":

@@ -1,10 +1,10 @@
 """The four computation strategies behind one contract.
 
-Each scheme exposes encode / decodable / decode / threshold, and differs from
-the others only in its generators, its placement and its solve. Encoding
-yields one WorkerShare per logical worker; each worker computes the block
-product of its two stored matrices; the master decodes once the responded set
-satisfies the scheme's decodability predicate.
+Each scheme exposes encode / decodable / latency / decode / threshold, and
+differs from the others only in its generators, its placement, its solve and
+its recovery rule. Encoding yields one WorkerShare per logical worker; each
+worker computes the block product of its two stored matrices; the master
+decodes once the responded set satisfies the scheme's decodability predicate.
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ from .matrixcore import (
     split_cols,
     transpose_mul,
 )
-
-SCHEME_NAMES = ("poly", "mds1d", "product", "uncoded")
-
 
 @dataclass(frozen=True)
 class CodeParams:
@@ -203,11 +200,12 @@ def _entrywise_decode(xs: list, received: np.ndarray, k: int, t: int, ctx: Field
 class Scheme:
     """Common contract for the four computation strategies.
 
-    Each scheme is a generator, a placement and a solve. `_layout` gives the
-    generator rows that combine A's m and B's n column blocks (None: that
-    input is not coded) and, per worker, the row of each that it stores.
-    `encode` applies them; `decode` keeps the first result of each worker
-    with a share, checks `decodable`, and hands the blocks to `_solve`.
+    Each scheme is a generator, a placement, a solve and a recovery rule.
+    `_layout` gives the generator rows that combine A's m and B's n column
+    blocks (None: that input is not coded) and, per worker, the row of each
+    that it stores. `encode` applies them; `decode` keeps the first result of
+    each worker with a share, checks its shape and `decodable`, and hands the
+    blocks to `_solve`. `latency` is `_decodable`'s rule on a batch of trials.
     """
 
     name: str = ""
@@ -251,12 +249,22 @@ class Scheme:
     def _decodable(self, ids: set, shape: ProblemShape) -> bool:
         raise NotImplementedError
 
+    def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
+        """Each trial's earliest decodable time (+inf: never) from a (trials,
+        num_shares) array of completion times, +inf for a worker that never answers."""
+        raise NotImplementedError
+
     def _select(self, results: list, shares: list, shape: ProblemShape) -> dict:
         """Worker id -> block of the first result from each worker that has a
-        share; results from other ids are dropped. Raises NotEnoughResults
-        unless the kept ids are decodable."""
+        share; results from other ids are dropped. Raises ShapeMismatch for a
+        kept block of the wrong shape, then NotEnoughResults unless the kept
+        ids are decodable."""
         ids = {s.worker_id for s in shares}
         cells = {i: r.c_tilde for i, r in _first_per_worker(results).items() if i in ids}
+        br, bc = shape.block_rows, shape.block_cols
+        for i, c in cells.items():
+            if (c.rows, c.cols) != (br, bc):
+                raise ShapeMismatch(f"worker {i} sent a {c.rows}x{c.cols} block, not {br}x{bc}")
         if not self.decodable(cells.keys(), shape):
             raise NotEnoughResults(f"{self.name}: {len(cells)} distinct results are not decodable")
         return cells
@@ -314,6 +322,9 @@ class PolyScheme(Scheme):
     def _decodable(self, ids: set, shape: ProblemShape) -> bool:
         return len(ids) >= self.required_results(shape)
 
+    def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
+        return np.sort(times, axis=1)[:, self.required_results(shape) - 1]
+
     def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
         # Interpolate from the lowest worker ids, so the work is deterministic.
         picked = sorted(cells)[: self.required_results(shape)]
@@ -356,12 +367,6 @@ class PolyScheme(Scheme):
         x_of = {s.worker_id: s.x for s in shares}
         xs = [x_of[i] for i in ordered]
         br, bc = shape.block_rows, shape.block_cols
-        for i in ordered:
-            if cells[i].data.shape != (br, bc):
-                raise ShapeMismatch(
-                    f"worker {i} sent a {cells[i].rows}x{cells[i].cols} block, "
-                    f"expected {br}x{bc}"
-                )
         received = np.stack([cells[i].data.reshape(br * bc) for i in ordered])
         coeffs = _interleaved_decode(xs, received, k, t, self.ctx)
         if coeffs is None:
@@ -407,6 +412,11 @@ class Mds1dScheme(Scheme):
         for i in ids:
             counts[i // g] += 1
         return all(c >= shape.m for c in counts)
+
+    def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
+        groups = times.reshape(times.shape[0], shape.n, self.group_size(shape))
+        # each group needs its m-th fastest; the slowest group gates the decode
+        return np.sort(groups, axis=2)[:, :, shape.m - 1].max(axis=1)
 
     def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
         g, m = self.group_size(shape), shape.m
@@ -494,17 +504,15 @@ class ProductScheme(Scheme):
         known, _ = self._peel_known(ids, side, shape.m)
         return all(r * side + c in known for r in range(shape.m) for c in range(shape.m))
 
-    def peel_latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
-        """Per-trial time at which peeling first recovers the systematic cells,
-        from a (trials, N) array of worker completion times.
+    def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
+        """Per trial, the time at which peeling first recovers the systematic cells.
 
         A cell is known at the earliest of its own arrival and the m-th
         smallest known time in its row or in its column. Iterating that rule
         from the arrival times only lowers entries, and it stops at the
         largest solution below them: the time at which `_peel_known` on the
         workers done by then first holds each cell. Entries are always
-        arrival times, so the result is exact, ties included. The set-based
-        `decodable` stays for single calls on one grid, where it is faster.
+        arrival times, so the result is exact, ties included.
         """
         side, m = self.grid_side(shape), shape.m
         known = np.asarray(times, dtype=float).reshape(-1, side, side)
@@ -559,6 +567,9 @@ class UncodedScheme(Scheme):
     def _decodable(self, ids: set, shape: ProblemShape) -> bool:
         return len(ids) == shape.m * shape.n
 
+    def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
+        return times.max(axis=1)
+
     def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
         n = shape.n
         return [[cells[j * n + k] for k in range(n)] for j in range(shape.m)]
@@ -570,16 +581,14 @@ class UncodedScheme(Scheme):
         return shape.r * shape.t
 
 
+SCHEMES = (PolyScheme, Mds1dScheme, ProductScheme, UncodedScheme)
+SCHEME_NAMES = tuple(cls.name for cls in SCHEMES)
+
+
 def get_scheme(name: str, ctx: FieldCtx, **kwargs) -> Scheme:
-    table = {
-        "poly": PolyScheme,
-        "mds1d": Mds1dScheme,
-        "product": ProductScheme,
-        "uncoded": UncodedScheme,
-    }
-    if name not in table:
+    if name not in SCHEME_NAMES:
         raise InvalidParameters(f"unknown scheme {name!r}; choose from {SCHEME_NAMES}")
-    return table[name](ctx, **kwargs)
+    return SCHEMES[SCHEME_NAMES.index(name)](ctx, **kwargs)
 
 
 def threshold(name: str, shape: ProblemShape, ctx: FieldCtx = None) -> int:

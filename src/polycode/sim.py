@@ -1,9 +1,9 @@
 """Monte-Carlo latency and communication analysis.
 
-Worker completion times are sampled iid from a pluggable model; each scheme's
+Worker completion times are sampled iid from a pluggable model. A scheme's
 latency on one sample is the stopping time of its decodability predicate over
-the arrival order. Latency excludes decoding (the harness reports decode
-overhead separately).
+the arrival order (`scheme_latency`), and on a batch its own `latency` rule.
+Latency excludes decoding (the harness reports decode overhead separately).
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DominanceViolation, InvalidModelParams, NeverDecodable
+from .errors import DominanceViolation, InvalidModelParams, NeverDecodable, ShapeMismatch
 from .field import FieldCtx
 from .matrixcore import ProblemShape
-from .schemes import SCHEME_NAMES, Scheme, get_scheme
+from .schemes import Scheme, get_scheme
 
 CCDF_GRID_POINTS = 200
 
@@ -86,27 +86,18 @@ def scheme_latency(scheme: Scheme, shape: ProblemShape, times) -> float:
 def scheme_latency_batch(scheme: Scheme, shape: ProblemShape, samples: np.ndarray) -> np.ndarray:
     """Per-trial latencies, equal to `scheme_latency` on each row of samples.
 
-    Workers past the last column never answer (+inf). NeverDecodable is
-    raised if any trial cannot decode.
+    `samples` is a (trials, workers) array. Workers past the last column
+    never answer (+inf). NeverDecodable is raised if any trial cannot decode.
     """
     samples = np.asarray(samples, dtype=float)
-    if scheme.name not in SCHEME_NAMES:
-        return np.array([scheme_latency(scheme, shape, row) for row in samples])
+    if samples.ndim != 2:
+        raise ShapeMismatch(f"samples must be a (trials, workers) array, got shape {samples.shape}")
     active = scheme.num_shares(shape)
     samples = samples[:, :active]
     if samples.shape[1] < active:
         missing = ((0, 0), (0, active - samples.shape[1]))
         samples = np.pad(samples, missing, constant_values=math.inf)
-    if scheme.name == "poly":
-        out = np.sort(samples, axis=1)[:, scheme.threshold(shape) - 1]
-    elif scheme.name == "uncoded":
-        out = samples.max(axis=1)
-    elif scheme.name == "mds1d":
-        groups = samples.reshape(samples.shape[0], shape.n, scheme.group_size(shape))
-        # each group needs its m-th fastest; the slowest group gates the decode
-        out = np.sort(groups, axis=2)[:, :, shape.m - 1].max(axis=1)
-    else:
-        out = scheme.peel_latency(samples, shape)
+    out = scheme.latency(samples, shape)
     if (out == math.inf).any():
         raise NeverDecodable(f"{scheme.name} cannot decode even with all workers")
     return out
@@ -120,13 +111,13 @@ def ccdf_table(samples: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return (n - idx) / n
 
 
-def ccdf_grid(pooled: np.ndarray, points: int = CCDF_GRID_POINTS) -> np.ndarray:
+def ccdf_grid(pooled: np.ndarray) -> np.ndarray:
     """Evenly spaced grid between the pooled minimum and p99.9."""
     lo = float(np.min(pooled))
     hi = float(np.percentile(pooled, 99.9))
     if hi <= lo:
         hi = lo + 1.0
-    return np.linspace(lo, hi, points)
+    return np.linspace(lo, hi, CCDF_GRID_POINTS)
 
 
 def comm_load_bits(results_used: int, shape: ProblemShape, ctx: FieldCtx) -> float:
@@ -163,12 +154,11 @@ def dominance_check(
     trials: int,
     seed: int,
     ctx: FieldCtx = None,
-    raise_on_violation: bool = True,
 ) -> DominanceReport:
     """Per-sample check of the polynomial code's latency dominance.
 
     Every scheme's latency is computed on the SAME completion-time sample as
-    the polynomial code's; any strictly smaller value is a violation.
+    the polynomial code's; any strictly smaller value raises DominanceViolation.
     """
     ctx = ctx or FieldCtx()
     if "poly" not in scheme_names:
@@ -184,7 +174,7 @@ def dominance_check(
         diff = poly_lat - lat
         report.max_violation = max(report.max_violation, float(diff.max(initial=0.0)))
         report.violations += int((diff > 0).sum())
-    if report.violations and raise_on_violation:
+    if report.violations:
         raise DominanceViolation(
             f"{report.violations} samples beat poly (max gap {report.max_violation})"
         )

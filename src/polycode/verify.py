@@ -62,9 +62,9 @@ def sweep_decode_subsets(scheme, shape: ProblemShape, ctx: FieldCtx, seed: int =
     return decoded
 
 
-def suite_poly_example(ctx7: FieldCtx = None):
+def suite_poly_example():
     """N=5, m=n=2 over F_7 (the motivating instance): all 4-subsets decode."""
-    ctx = ctx7 or FieldCtx(7)
+    ctx = FieldCtx(7)
     shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=5)
     scheme = PolyScheme(ctx)
     count = sweep_decode_subsets(scheme, shape, ctx)
@@ -72,9 +72,9 @@ def suite_poly_example(ctx7: FieldCtx = None):
     return f"poly F7 example: {count} decodable subsets exact, threshold 4"
 
 
-def suite_mds1d(ctx: FieldCtx = None):
+def suite_mds1d():
     """Brute-force worst case matches N - N/n + m on two textbook instances."""
-    ctx = ctx or FieldCtx()
+    ctx = FieldCtx()
     for (big_n, m, n), expect in (((6, 2, 2), 5), ((3, 2, 1), 2)):
         shape = ProblemShape(s=8, r=4 if m == 2 else m, t=max(n * 2, 2), m=m, n=n, N=big_n)
         scheme = Mds1dScheme(ctx)
@@ -85,9 +85,9 @@ def suite_mds1d(ctx: FieldCtx = None):
     return "mds1d exhaustive sweep: thresholds 5 (N=6) and 2 (N=3), all decodes exact"
 
 
-def suite_product(ctx: FieldCtx = None):
+def suite_product():
     """2^9 peeling sweep on N=9, m=n=2, plus the five-result textbook pattern."""
-    ctx = ctx or FieldCtx()
+    ctx = FieldCtx()
     shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=9)
     scheme = ProductScheme(ctx)
     got = brute_force_threshold(scheme, shape)
@@ -101,9 +101,9 @@ def suite_product(ctx: FieldCtx = None):
     return f"product exhaustive sweep: threshold 6, 5-pattern peels, {count} decodes exact"
 
 
-def suite_conv(ctx: FieldCtx = None):
+def suite_conv():
     """Every 4-subset of 7 workers decodes the m=3, n=2 convolution exactly."""
-    ctx = ctx or FieldCtx()
+    ctx = FieldCtx()
     m, n, big_n, s = 3, 2, 7, 16
     rng = np.random.default_rng(11)
     a = rng.integers(0, ctx.q, size=m * s)

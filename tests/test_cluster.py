@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -46,6 +47,16 @@ class TestStragglerPlan:
             StragglerPlan(mode="per_worker", delays=(1.0, -2.0))
         with pytest.raises(InvalidParameters):
             StragglerPlan(mode="model_sampled")
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_factor_must_be_finite(self, bad):
+        with pytest.raises(InvalidParameters):
+            StragglerPlan(mode="slow_random", factor=bad)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_delays_must_be_finite(self, bad):
+        with pytest.raises(InvalidParameters):
+            StragglerPlan(mode="per_worker", delays=(bad, 1.0, 2.0, 3.0))
 
     def test_per_worker_times_pass_through(self):
         plan = StragglerPlan(mode="per_worker", delays=(3.0, 1.0, 2.0))

@@ -14,6 +14,7 @@ from polycode.errors import (
     NotDecodable,
     NotEnoughResults,
     PolycodeError,
+    ShapeMismatch,
     TooManyWorkersForField,
 )
 from polycode.field import FieldCtx, invert_matrix
@@ -477,6 +478,29 @@ def test_decodable_ignores_ids_of_no_worker(name, big_n, data):
 def test_foreign_ids_do_not_count(name, big_n, ids):
     shape = ProblemShape(s=4, r=2, t=2, m=2, n=2, N=big_n)
     assert not get_scheme(name, BIG).decodable(ids, shape)
+
+
+@pytest.mark.parametrize("case", ("one 4x2", "one 3x4", "every 4x2"))
+@pytest.mark.parametrize("name,big_n", [("poly", 6), ("mds1d", 6), ("product", 4), ("uncoded", 4)])
+def test_decode_rejects_blocks_of_the_wrong_shape(name, big_n, case):
+    # Blocks are 2x4. A 3x4 block has the wrong size; a 4x2 block has the
+    # right size and would otherwise be read as a 2x4 one.
+    shape = ProblemShape(s=4, r=4, t=8, m=2, n=2, N=big_n)
+    a, b, _ = make_instance(shape, BIG)
+    scheme = get_scheme(name, BIG)
+    shares, results = all_results(scheme, a, b, shape)
+
+    def turned(r):
+        return WorkerResult(r.worker_id, FMatrix(r.c_tilde.data.reshape(4, 2), BIG))
+
+    if case == "every 4x2":
+        results = [turned(r) for r in results]
+    elif case == "one 4x2":
+        results[1] = turned(results[1])
+    else:
+        results[1] = WorkerResult(1, FMatrix.random(3, 4, BIG, np.random.default_rng(1)))
+    with pytest.raises(ShapeMismatch):
+        scheme.decode(results, shares, shape)
 
 
 class TestUncoded:

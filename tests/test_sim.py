@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode.errors import DominanceViolation, InvalidModelParams, NeverDecodable
+from polycode.errors import DominanceViolation, InvalidModelParams, NeverDecodable, ShapeMismatch
 from polycode.field import FieldCtx
 from polycode.matrixcore import ProblemShape
-from polycode.schemes import Scheme, get_scheme
+from polycode.schemes import SCHEME_NAMES, Scheme, get_scheme
 from polycode.sim import (
     LatencyModel,
     ccdf_table,
@@ -147,36 +147,55 @@ class TestSchemeLatency:
             assert batch(scheme, shape, full[:, :1]) is NeverDecodable
             assert batch(scheme, shape, full[:, : shape.N]) is not NeverDecodable
 
-    def test_scheme_without_batch_rule_runs_the_scalar_path(self):
+    def test_batch_asks_the_scheme_for_its_latency_rule(self):
+        # A scheme outside the four is its class alone: the batch path pads
+        # missing workers with +inf and hands the grid to its `latency`.
         class FirstTwo(Scheme):
             name = "first_two"
+            seen = []
 
-            def decodable(self, responded, shape):
-                return len(responded) >= 2
+            def _decodable(self, ids, shape):
+                return len(ids) >= 2
+
+            def latency(self, times, shape):
+                self.seen.append(times.shape)
+                return np.sort(times, axis=1)[:, 1]
 
         scheme = FirstTwo(BIG)
         samples = sample_latency(LatencyModel(), 5, seed=4, trials=16)
         want = np.sort(samples, axis=1)[:, 1].tolist()
         assert batch(scheme, self.SHAPE5, samples) == want == per_row(scheme, self.SHAPE5, samples)
         assert batch(scheme, self.SHAPE5, samples[:, :1]) is NeverDecodable
+        assert FirstTwo.seen == [(16, 5), (16, 5)]
+
+    @pytest.mark.parametrize("dims", ((5,), (2, 3, 5), ()))
+    def test_samples_that_are_not_a_matrix_are_rejected(self, dims):
+        scheme = get_scheme("poly", BIG)
+        with pytest.raises(ShapeMismatch):
+            scheme_latency_batch(scheme, self.SHAPE5, np.ones(dims))
 
 
+@pytest.mark.parametrize("name", SCHEME_NAMES)
 @settings(deadline=None, max_examples=150)
-@given(
-    side=st.integers(1, 10),
-    model=st.sampled_from(MODELS),
-    seed=st.integers(0, 2**32 - 1),
-    data=st.data(),
-)
-def test_product_peel_latency_equals_scalar_path(side, model, seed, data):
-    # The fixed point against arrival-by-arrival set peeling, compared
-    # exactly. Fewer columns than side^2 leave workers out, which can make a
+@given(model=st.sampled_from(MODELS), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_latency_rule_equals_scalar_path(name, model, seed, data):
+    # Each scheme's batch rule against arrival-by-arrival `decodable` calls,
+    # compared exactly (product: its peeling fixed point against set
+    # peeling). Fewer columns than N leave workers out, which can make a
     # trial never decodable; both paths must then raise NeverDecodable.
-    m = data.draw(st.integers(1, side), label="m")
-    cols = data.draw(st.one_of(st.just(side * side), st.integers(0, side * side - 1)), label="cols")
-    shape = ProblemShape(s=m, r=m, t=m, m=m, n=m, N=side * side)
-    scheme = get_scheme("product", BIG)
-    samples = sample_latency(model, side * side, seed, trials=6)[:, :cols]
+    if name == "product":
+        side = data.draw(st.integers(1, 10), label="side")
+        m = n = data.draw(st.integers(1, side), label="m")
+        big_n = side * side
+    else:
+        m, n = data.draw(st.integers(1, 4), label="m"), data.draw(st.integers(1, 4), label="n")
+        spare = data.draw(st.integers(0, 8), label="spare")
+        big_n = n * (m + spare) if name == "mds1d" else m * n + spare
+    shape = ProblemShape(s=max(m, n), r=m, t=n, m=m, n=n, N=big_n, allow_wide=True)
+    scheme = get_scheme(name, BIG)
+    scheme.validate(shape)
+    cols = data.draw(st.one_of(st.just(big_n), st.integers(0, big_n - 1)), label="cols")
+    samples = sample_latency(model, big_n, seed, trials=6)[:, :cols]
     assert batch(scheme, shape, samples) == per_row(scheme, shape, samples)
 
 
