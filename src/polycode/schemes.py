@@ -261,10 +261,10 @@ class Scheme:
         ids are decodable."""
         ids = {s.worker_id for s in shares}
         cells = {i: r.c_tilde for i, r in _first_per_worker(results).items() if i in ids}
-        br, bc = shape.block_rows, shape.block_cols
+        want = (shape.block_rows, shape.block_cols)
         for i, c in cells.items():
-            if (c.rows, c.cols) != (br, bc):
-                raise ShapeMismatch(f"worker {i} sent a {c.rows}x{c.cols} block, not {br}x{bc}")
+            if c.data.shape != want:
+                raise ShapeMismatch(f"worker {i} sent a block of shape {c.data.shape}, not {want}")
         if not self.decodable(cells.keys(), shape):
             raise NotEnoughResults(f"{self.name}: {len(cells)} distinct results are not decodable")
         return cells
