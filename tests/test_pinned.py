@@ -57,6 +57,19 @@ SIM_DIGESTS = {
         "ccdf.csv": "a05761a14dfaf6533c615a0a6c26052154399fd1e85c3b789f7bc004e87b03fc",
         "summary.json": "1524c33bcdb0c94245275df5487681628b2ba50855980704cc812d429a11cee5",
     },
+    # The simulator's larger shapes, where product-code peeling runs for many
+    # rounds. Recorded before ProductScheme.latency alternated row and column
+    # steps.
+    "--N 64 --m 4 --n 4 --trials 500 --seed 11": {
+        "latency.csv": "53d198dc4fb5a224b676fc06fce78d15936f772f87d4d4769044c7b812d2c1de",
+        "ccdf.csv": "49a52a7a5d52fdf6780a272546ccafea7d0dedf7666c0096af9f8b32b239eee4",
+        "summary.json": "3a8935fec8b0247503c9b3265d665a88b1e079d834ae72661f25cab9e4f47a26",
+    },
+    "--N 144 --m 6 --n 6 --trials 400 --seed 12": {
+        "latency.csv": "e374c4be3243249ac507bc57dc2467de5f28efa401b034a9e05a984a1f4c9d8e",
+        "ccdf.csv": "04344ad776b7757fef9c4dcf5dbecf5281c6c652e426124b9bc5a7e13f2d890c",
+        "summary.json": "92050ff522844f28167e1a94520b4be44036e7b43a58c578ca6933fcf91995f8",
+    },
 }
 
 
