@@ -508,24 +508,38 @@ class ProductScheme(Scheme):
         """Per trial, the time at which peeling first recovers the systematic cells.
 
         A cell is known at the earliest of its own arrival and the m-th
-        smallest known time in its row or in its column. Iterating that rule
-        from the arrival times only lowers entries, and it stops at the
-        largest solution below them: the time at which `_peel_known` on the
-        workers done by then first holds each cell. Entries are always
-        arrival times, so the result is exact, ties included.
+        smallest known time in its row or in its column. The answer is the
+        largest grid below the arrival times that this rule fixes: the time
+        at which `_peel_known` on the workers done by then first holds each
+        cell.
+
+        Steps alternate, a row step then a column step, each lowering every
+        cell to at most the m-th smallest of its line; transposing the grid
+        after a step puts the other axis last. A step is idempotent: it
+        leaves each line's m-th smallest unchanged and no cell above it. So
+        from the second step on, a trial whose step lowered nothing is fixed
+        by both steps; its answer is written and it leaves the live set. A
+        quiet first step proves nothing, as the columns were never stepped.
+
+        Exactness: both steps are monotone, and the greatest fixed point G
+        below the arrivals is fixed by each, so no order of steps from the
+        arrivals goes below G. The loop stops at a grid fixed by both steps,
+        which is at most G, so at G. Entries are always arrival times, so
+        the result is exact, ties and +inf included.
         """
         side, m = self.grid_side(shape), shape.m
-        known = np.asarray(times, dtype=float).reshape(-1, side, side)
-        while True:
-            # `take` copies, so each partitioned grid is freed at once: the
-            # peak holds two grids, not five.
-            row_kth = np.partition(known, m - 1, axis=2).take(m - 1, axis=2)
-            col_kth = np.partition(known, m - 1, axis=1).take(m - 1, axis=1)
-            peeled = np.minimum(row_kth[:, :, None], col_kth[:, None, :])
-            np.minimum(peeled, known, out=peeled)
-            if np.array_equal(peeled, known):
-                return known[:, :m, :m].max(axis=(1, 2))
-            known = peeled
+        grid = np.array(times, dtype=float).reshape(-1, side, side)  # lowered in place
+        out = np.empty(len(grid))
+        live = np.arange(len(grid))
+        first = True
+        while live.size:
+            kth = np.partition(grid, m - 1, axis=2)[:, :, m - 1, None]
+            moved = (kth < grid).any(axis=(1, 2)) | first
+            np.minimum(grid, kth, out=grid)
+            grid, first = grid.transpose(0, 2, 1), False
+            out[live[~moved]] = grid[~moved, :m, :m].max(axis=(1, 2))
+            grid, live = grid[moved], live[moved]
+        return out
 
     def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
         side, m = self.grid_side(shape), shape.m

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DominanceViolation, InvalidModelParams, NeverDecodable, ShapeMismatch
+from .errors import DominanceViolation, InvalidModelParams, InvalidParameters, NeverDecodable, ShapeMismatch
 from .field import FieldCtx
 from .matrixcore import ProblemShape
 from .schemes import Scheme, get_scheme
@@ -65,12 +65,18 @@ def sample_latency(model: LatencyModel, n: int, seed: int, trials: int) -> np.nd
     return model.sample((trials, n), np.random.default_rng(seed))
 
 
+def _reject_nan(times: np.ndarray) -> None:
+    if np.isnan(times).any():
+        raise InvalidParameters("completion times must not be NaN; +inf means never")
+
+
 def scheme_latency(scheme: Scheme, shape: ProblemShape, times) -> float:
     """Earliest t at which the responded set {i : T_i <= t} is decodable.
 
-    A worker with time +inf never answers.
+    A worker with time +inf never answers; a NaN time is rejected.
     """
     times = np.asarray(times, dtype=float)
+    _reject_nan(times)
     active = min(len(times), scheme.num_shares(shape))
     order = sorted(range(active), key=lambda i: (times[i], i))
     responded = set()
@@ -87,11 +93,13 @@ def scheme_latency_batch(scheme: Scheme, shape: ProblemShape, samples: np.ndarra
     """Per-trial latencies, equal to `scheme_latency` on each row of samples.
 
     `samples` is a (trials, workers) array. Workers past the last column
-    never answer (+inf). NeverDecodable is raised if any trial cannot decode.
+    never answer (+inf), and a NaN time is rejected. NeverDecodable is
+    raised if any trial cannot decode.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ShapeMismatch(f"samples must be a (trials, workers) array, got shape {samples.shape}")
+    _reject_nan(samples)
     active = scheme.num_shares(shape)
     samples = samples[:, :active]
     if samples.shape[1] < active:
@@ -159,15 +167,17 @@ def dominance_check(
 
     Every scheme's latency is computed on the SAME completion-time sample as
     the polynomial code's; any strictly smaller value raises DominanceViolation.
+    Every scheme is built and validated before any sample is drawn.
     """
     ctx = ctx or FieldCtx()
     if "poly" not in scheme_names:
         scheme_names = ["poly"] + list(scheme_names)
+    schemes = {name: get_scheme(name, ctx) for name in scheme_names}
+    for scheme in schemes.values():
+        scheme.validate(shape)
     samples = sample_latency(model, shape.N, seed, trials)
     report = DominanceReport(shape=shape, trials=trials, seed=seed)
-    for name in scheme_names:
-        scheme = get_scheme(name, ctx)
-        scheme.validate(shape)
+    for name, scheme in schemes.items():
         report.latencies[name] = scheme_latency_batch(scheme, shape, samples)
     poly_lat = report.latencies["poly"]
     for name, lat in report.latencies.items():

@@ -126,6 +126,8 @@ class TestSimCommand:
         code = main(["sim", "--N", "8", "--m", "2", "--n", "2",
                      "--schemes", "warp", "--out-dir", str(tmp_path)])
         assert code == 1
+        assert "unknown scheme 'warp'; choose from" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestConvCommand:

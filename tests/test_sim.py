@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycode.errors import DominanceViolation, InvalidModelParams, NeverDecodable, ShapeMismatch
+from polycode.errors import (
+    DominanceViolation,
+    InvalidGrid,
+    InvalidModelParams,
+    InvalidParameters,
+    NeverDecodable,
+    ShapeMismatch,
+)
+from polycode import sim
 from polycode.field import FieldCtx
 from polycode.matrixcore import ProblemShape
-from polycode.schemes import SCHEME_NAMES, Scheme, get_scheme
+from polycode.schemes import SCHEME_NAMES, ProductScheme, Scheme, get_scheme
 from polycode.sim import (
     LatencyModel,
     ccdf_table,
@@ -174,6 +182,31 @@ class TestSchemeLatency:
         with pytest.raises(ShapeMismatch):
             scheme_latency_batch(scheme, self.SHAPE5, np.ones(dims))
 
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    @pytest.mark.parametrize("col", (0, 3, 9))
+    def test_nan_times_are_rejected(self, name, col):
+        # NaN once looped the product rule forever and split poly's and
+        # uncoded's rules from the scalar path. Both paths reject it, in any
+        # column, even past the last worker; +inf still means never.
+        shape = ProblemShape(s=4, r=2, t=2, m=2, n=2, N={"product": 4, "mds1d": 6}.get(name, 5))
+        scheme = get_scheme(name, BIG)
+        times = np.arange(10.0)
+        times[col] = math.nan
+        with pytest.raises(InvalidParameters):
+            scheme_latency_batch(scheme, shape, times[None, :])
+        with pytest.raises(InvalidParameters):
+            scheme_latency(scheme, shape, times)
+        times[col] = math.inf
+        assert batch(scheme, shape, times[None, :]) == per_row(scheme, shape, [times])
+
+    def test_product_step_after_a_quiet_first_step(self):
+        # The row step lowers nothing here, yet the column step lowers every
+        # cell: cell (0, 0) is known at 1.0 from column 0, not at its 5.0.
+        shape = ProblemShape(s=1, r=1, t=1, m=1, n=1, N=4)
+        times = np.array([[5.0, 5.0, 1.0, 1.0]])
+        scheme = get_scheme("product", BIG)
+        assert scheme.latency(times, shape).tolist() == [1.0] == per_row(scheme, shape, times)
+
 
 @pytest.mark.parametrize("name", SCHEME_NAMES)
 @settings(deadline=None, max_examples=150)
@@ -197,6 +230,42 @@ def test_latency_rule_equals_scalar_path(name, model, seed, data):
     cols = data.draw(st.one_of(st.just(big_n), st.integers(0, big_n - 1)), label="cols")
     samples = sample_latency(model, big_n, seed, trials=6)[:, :cols]
     assert batch(scheme, shape, samples) == per_row(scheme, shape, samples)
+
+
+def parallel_peeling(times, side, m):
+    """The product rule lowered from rows and columns together until no cell
+    moves: the reference for `ProductScheme.latency`'s alternating steps."""
+    known = np.asarray(times, dtype=float).reshape(-1, side, side)
+    while True:
+        row_kth = np.partition(known, m - 1, axis=2).take(m - 1, axis=2)
+        col_kth = np.partition(known, m - 1, axis=1).take(m - 1, axis=1)
+        peeled = np.minimum(row_kth[:, :, None], col_kth[:, None, :])
+        np.minimum(peeled, known, out=peeled)
+        if np.array_equal(peeled, known):
+            return known[:, :m, :m].max(axis=(1, 2))
+        known = peeled
+
+
+@settings(deadline=None, max_examples=80)
+@given(model=st.sampled_from(MODELS), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_product_latency_equals_parallel_peeling(model, seed, data):
+    # Hundreds of trials per draw, so trials leave the live set at different
+    # steps. +inf cells in some rows make trials that never decode, which
+    # must give +inf. Exact floats, and the caller's array is left as it was.
+    side = data.draw(st.integers(1, 12), label="side")
+    m = data.draw(st.integers(1, side), label="m")
+    trials = data.draw(st.integers(200, 260), label="trials")
+    never = data.draw(st.sampled_from((0.0, 0.1, 0.4, 0.8)), label="never")
+    rng = np.random.default_rng(seed)
+    samples = sample_latency(model, side * side, seed, trials)
+    hit = (rng.random(samples.shape) < never) & (rng.random((trials, 1)) < 0.5)
+    samples[hit] = math.inf
+    before = samples.copy()
+    shape = ProblemShape(s=m, r=m, t=m, m=m, n=m, N=side * side, allow_wide=True)
+    got = ProductScheme(BIG).latency(samples, shape)
+    want = parallel_peeling(samples, side, m)
+    assert got.tolist() == want.tolist()
+    assert np.array_equal(samples, before)
 
 
 @settings(deadline=None, max_examples=60)
@@ -259,6 +328,20 @@ class TestDominance:
         assert (poly == np.sort(samples, axis=1)[:, 3]).all()
         third = np.sort(samples, axis=1)[:, 2]
         assert (third <= poly).all() and (third < poly).any()
+
+    def test_every_scheme_is_checked_before_sampling(self, monkeypatch):
+        # An unknown name or a shape a scheme cannot take fails before any
+        # sample is drawn or any latency computed.
+        def no_sampling(*args):
+            raise AssertionError("sampled before the schemes were checked")
+
+        monkeypatch.setattr(sim, "sample_latency", no_sampling)
+        square = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=16)
+        with pytest.raises(InvalidParameters, match="unknown scheme 'warp'"):
+            dominance_check(["poly", "warp"], LatencyModel(), square, trials=10, seed=0)
+        not_square = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=15)
+        with pytest.raises(InvalidGrid):
+            dominance_check(["poly", "product"], LatencyModel(), not_square, trials=10, seed=0)
 
     def test_no_raise_when_clean(self):
         shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=8)
