@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycode import sim
 from polycode.errors import (
     DominanceViolation,
     InvalidGrid,
@@ -13,7 +14,6 @@ from polycode.errors import (
     NeverDecodable,
     ShapeMismatch,
 )
-from polycode import sim
 from polycode.field import FieldCtx
 from polycode.matrixcore import ProblemShape
 from polycode.schemes import SCHEME_NAMES, ProductScheme, Scheme, get_scheme
@@ -185,9 +185,10 @@ class TestSchemeLatency:
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     @pytest.mark.parametrize("col", (0, 3, 9))
     def test_nan_times_are_rejected(self, name, col):
-        # NaN once looped the product rule forever and split poly's and
-        # uncoded's rules from the scalar path. Both paths reject it, in any
-        # column, even past the last worker; +inf still means never.
+        # A NaN time has no place in the arrival order, so the batch rules and
+        # the scalar path would disagree on it (or, for product, not stop).
+        # Both reject it in any column, even past the last worker; +inf
+        # still means never.
         shape = ProblemShape(s=4, r=2, t=2, m=2, n=2, N={"product": 4, "mds1d": 6}.get(name, 5))
         scheme = get_scheme(name, BIG)
         times = np.arange(10.0)
