@@ -1,15 +1,18 @@
 """In-process master/worker harness with straggler injection.
 
-The master takes worker results in completion order and decodes at the first
-prefix that the scheme's decodability predicate accepts. Two clocks feed that
-one loop. The virtual clock (the default, deterministic) takes the workers in
-order of sampled time and computes each one only when it is reached. The
-threads clock runs each worker on a joined thread pool that waits out the
-worker's sampled time before computing, and measures wall-clock time.
+The master decodes from the first prefix of the worker results, in completion
+order, that the scheme's decodability predicate accepts. The virtual clock (the
+default, deterministic) orders the workers by sampled time, all known before
+any worker runs. It finds that prefix by bisection, as the predicate is
+monotone, then computes only those workers, with one kernel call. The threads
+clock runs each worker on a joined thread pool that waits out the worker's
+sampled time before computing, measures wall-clock time, and asks the
+predicate at each arrival.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import threading
@@ -22,7 +25,7 @@ import numpy as np
 from .errors import HarnessTimeout, InvalidParameters
 from .field import FieldCtx
 from .matrixcore import FMatrix, ProblemShape
-from .schemes import PolyScheme, Scheme, WorkerResult, worker_compute
+from .schemes import PolyScheme, Scheme, WorkerResult, compute_shares, worker_compute
 from .sim import LatencyModel
 
 # Modeled, not measured: the virtual cost of one decode multiply-accumulate.
@@ -153,9 +156,10 @@ def run(
 
     `plan` draws each worker's completion time from `base_model` (default
     `LatencyModel()`) with `default_rng(seed)`. The master decodes at the
-    first decodable prefix of the results in completion order. On the virtual
-    clock the times are virtual seconds and `decode_time` is modeled. On the
-    threads clock each worker runs on a pool thread and waits `time_scale`
+    first decodable prefix of the results in completion order, ties in time
+    broken by worker id. On the virtual clock the times are virtual seconds,
+    only the workers in that prefix compute, and `decode_time` is modeled.
+    On the threads clock each worker runs on a pool thread and waits `time_scale`
     times its sampled time before computing; every time in the report is then
     measured, and once the master can decode, workers still waiting return
     without computing. A worker that raises is an erasure. Every thread is
@@ -176,20 +180,28 @@ def run(
     worker_times = times[: len(shares)]
     if clock == "virtual":
         order = sorted(range(len(shares)), key=lambda i: (worker_times[i], i))
-        arrivals = ((i, worker_compute(shares[i]), float(worker_times[i])) for i in order)
-    else:
-        arrivals = _thread_arrivals(shares, worker_times * time_scale)
-
-    results, responders, arrival_times = [], [], []
-    with closing(arrivals):
-        for i, result, fire in arrivals:
-            results.append(result)
-            responders.append(i)
-            arrival_times.append((i, fire))
-            if scheme.decodable(responders, shape):
-                break
-        else:
+        # A superset of a decodable set is decodable, so the prefixes turn
+        # decodable at one length: the leftmost whose predicate holds.
+        used = 1 + bisect.bisect_left(
+            range(1, len(order) + 1), True, key=lambda n: scheme.decodable(order[:n], shape)
+        )
+        if used > len(order):
             raise HarnessTimeout("no decodable response set formed")
+        responders = order[:used]
+        results = compute_shares([shares[i] for i in responders])
+        arrival_times = [(i, float(worker_times[i])) for i in responders]
+    else:
+        results, responders, arrival_times = [], [], []
+        with closing(_thread_arrivals(shares, worker_times * time_scale)) as arrivals:
+            for i, result, fire in arrivals:
+                results.append(result)
+                responders.append(i)
+                arrival_times.append((i, fire))
+                if scheme.decodable(responders, shape):
+                    break
+            else:
+                raise HarnessTimeout("no decodable response set formed")
+    fire = arrival_times[-1][1]
     dec0 = time.perf_counter()
     c = scheme.decode(results, shares, shape)
     if clock == "virtual":

@@ -74,42 +74,47 @@ def _limbs(bits: int, k: int) -> tuple:
     return width, count, width, count
 
 
-def _split(a: np.ndarray, width: int, count: int) -> np.ndarray:
-    """(count, *a.shape) limbs of `width` bits, lowest first; a itself if count is 1."""
-    if count == 1:
-        return a[None]
-    shifts = np.arange(0, width * count, width, dtype=np.int64)[:, None, None]
-    return (a[None] >> shifts) & ((1 << width) - 1)
-
-
 def mulmod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     """Exact (x @ y) mod q for canonical int64 operands and q < 2**62.
+
+    Operands may be stacks, x of shape (..., n, k) and y of shape (..., k, p),
+    with batch axes that broadcast as in `np.matmul`; the result is then
+    (..., n, p), and one BLAS call serves every slice.
 
     x is split into Lx limbs of b bits, x = sum_i 2**(b*i) x_i, and y into
     Ly limbs (`_limbs`): either Ly = Lx, with y's limbs b bits wide too, or
     Ly = 1 and y goes to BLAS whole, which is exact while
     k * (2**bits - 1) * (2**b - 1) < 2**53. At q = 2**31 - 1 the one-sided
     split takes 2 products instead of 4 for k <= 64, and 3 for k <= 2049; at
-    q = 2**61 - 1 its bound never holds. One float64 BLAS product of the
-    stacked limbs yields every x_i @ y_j exactly, each an n x p block. Horner
-    steps mod q recombine sum_d 2**(b*d) D_d over the diagonals
+    q = 2**61 - 1 its bound never holds. Limb i of x is stacked as rows
+    i*n .. i*n + n - 1 and limb j of y as columns j*p .. j*p + p - 1, so one
+    float64 product yields every x_i @ y_j exactly, each an n x p block.
+    Horner steps mod q recombine sum_d 2**(b*d) D_d over the diagonals
     D_d = sum_{i+j=d} x_i @ y_j; with Ly = 1 a diagonal is one product. The
     products are added into the int64 accumulator as numpy casts them, so
-    besides the float products only the n x p result is allocated.
+    besides the limbs and the float products only the result is allocated.
     """
-    n, k = x.shape
-    p = y.shape[1]
+    n, k = x.shape[-2:]
+    p = y.shape[-1]
     bits = (q - 1).bit_length()
-    width, x_count, y_width, y_count = _limbs(bits, k)
-    x_limbs = _split(x, width, x_count).reshape(x_count * n, k)
-    y_limbs = _split(y, y_width, y_count).transpose(1, 0, 2).reshape(k, y_count * p)
-    prods = (x_limbs.astype(np.float64) @ y_limbs.astype(np.float64)).reshape(x_count, n, y_count, p)
+    width, x_count, _, y_count = _limbs(bits, k)
+    # y is split only in the symmetric case, into limbs as wide as x's.
+    shifts = np.arange(0, width * x_count, width, dtype=np.int64)
+    mask = (1 << width) - 1
+    if x_count > 1:
+        x = ((x[..., None, :, :] >> shifts[:, None, None]) & mask).reshape(
+            *x.shape[:-2], x_count * n, k)
+    if y_count > 1:
+        y = ((y[..., :, None, :] >> shifts[:, None]) & mask).reshape(
+            *y.shape[:-2], k, y_count * p)
+    prods = x.astype(np.float64) @ y.astype(np.float64)
+    prods = prods.reshape(*prods.shape[:-2], x_count, n, y_count, p)
 
     # With acc < q, acc << step stays below 2**63 and acc << (step - 1) below
     # 2**62. A diagonal is below L * 2**53 <= 2**59, so the last shift of
     # each Horner step and the add fit in int64 before one reduction.
     step = 63 - bits
-    acc = prods[x_count - 1, :, y_count - 1].astype(np.int64)
+    acc = prods[..., x_count - 1, :, y_count - 1, :].astype(np.int64)
     acc %= q
     for d in range(x_count + y_count - 3, -1, -1):
         left = width
@@ -119,7 +124,7 @@ def mulmod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
             left -= step
         acc <<= left
         for i in range(max(0, d - y_count + 1), min(d, x_count - 1) + 1):
-            np.add(acc, prods[i, :, d - i], out=acc, dtype=np.int64, casting="unsafe")
+            np.add(acc, prods[..., i, :, d - i, :], out=acc, dtype=np.int64, casting="unsafe")
         acc %= q
     return acc
 
@@ -226,20 +231,6 @@ def split_cols(mat: FMatrix, parts: int) -> list:
     ]
 
 
-def hconcat(blocks: list) -> FMatrix:
-    if not blocks:
-        raise EmptyInput("nothing to concatenate")
-    ctx = blocks[0].ctx
-    return FMatrix(np.concatenate([b.data for b in blocks], axis=1), ctx, _canonical=True)
-
-
-def vconcat(blocks: list) -> FMatrix:
-    if not blocks:
-        raise EmptyInput("nothing to concatenate")
-    ctx = blocks[0].ctx
-    return FMatrix(np.concatenate([b.data for b in blocks], axis=0), ctx, _canonical=True)
-
-
 def transpose_mul(a: FMatrix, b: FMatrix) -> FMatrix:
     """Exact C = A^T B over F_q."""
     if a.ctx != b.ctx:
@@ -278,7 +269,9 @@ def lincomb(blocks: list, coeffs: list) -> FMatrix:
 
 def assemble_blocks(grid: list) -> FMatrix:
     """Stitch a 2-D list of blocks (block row j, block col k) into one matrix."""
-    return vconcat([hconcat(row) for row in grid])
+    if not grid or not all(grid):
+        raise EmptyInput("nothing to concatenate")
+    return FMatrix(np.block([[b.data for b in row] for row in grid]), grid[0][0].ctx, _canonical=True)
 
 
 def save_array(values, path, q: int) -> None:

@@ -9,7 +9,9 @@ decodes once the responded set satisfies the scheme's decodability predicate.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +47,10 @@ class CodeParams:
     alpha: int
     beta: int
 
+    @functools.lru_cache(maxsize=256)
     def validate(self, m: int, n: int) -> None:
+        """Raises InvalidCodeParams unless the exponents are nonnegative and
+        the mn of them distinct. Cached: each (params, m, n) is checked once."""
         if self.alpha < 0 or self.beta < 0:
             raise InvalidCodeParams("exponents must be nonnegative")
         exps = self.exponents(m, n)
@@ -87,6 +92,29 @@ def worker_compute(share: WorkerShare) -> WorkerResult:
     return WorkerResult(share.worker_id, transpose_mul(share.a_tilde, share.b_tilde))
 
 
+def compute_shares(shares: list) -> list:
+    """`worker_compute` of each share, as one `mulmod` over the stacked
+    A~^T and B~. Raises ShapeMismatch, as `transpose_mul` does, for operands
+    in different fields or with different row counts, and for blocks whose
+    shapes differ from the first share's."""
+    if not shares:
+        return []
+    ctx = shares[0].a_tilde.ctx
+    a_shape, b_shape = shares[0].a_tilde.data.shape, shares[0].b_tilde.data.shape
+    for sh in shares:
+        if sh.a_tilde.ctx != ctx or sh.b_tilde.ctx != ctx:
+            raise ShapeMismatch("operands live in different fields")
+        if sh.a_tilde.data.shape != a_shape or sh.b_tilde.data.shape != b_shape:
+            raise ShapeMismatch(f"worker {sh.worker_id} holds blocks of other shapes")
+    if a_shape[0] != b_shape[0]:
+        raise ShapeMismatch(f"row counts differ: {a_shape[0]} vs {b_shape[0]}")
+    a = np.stack([sh.a_tilde.data for sh in shares])
+    b = np.stack([sh.b_tilde.data for sh in shares])
+    out = mulmod(a.transpose(0, 2, 1), b, ctx.q)
+    return [WorkerResult(sh.worker_id, FMatrix(c, ctx, _canonical=True))
+            for sh, c in zip(shares, out)]
+
+
 def _first_per_worker(results: list) -> dict:
     """Worker id -> the first result carrying it; later duplicates are ignored."""
     return {r.worker_id: r for r in reversed(results)}
@@ -105,12 +133,21 @@ def _evaluation_points(points: list, big_n: int, ctx: FieldCtx) -> list:
     return pts
 
 
-def _vandermonde(xs: list, exps, ctx: FieldCtx) -> np.ndarray:
-    """Row i holds x_i**e for each exponent e: the generator of an evaluation code."""
-    return canonical([[ctx.pow(x, e) for e in exps] for x in xs], ctx.q)
+def _vandermonde(xs, exps, ctx: FieldCtx) -> np.ndarray:
+    """Row i holds x_i**e for each exponent e: the generator of an evaluation
+    code. Built once per (points, exponents, field) and read-only."""
+    return _vandermonde_of(tuple(map(operator.index, xs)), tuple(map(operator.index, exps)), ctx)
 
 
-def systematic_generator(total: int, k: int, ctx: FieldCtx) -> list:
+@functools.lru_cache(maxsize=256)
+def _vandermonde_of(xs: tuple, exps: tuple, ctx: FieldCtx) -> np.ndarray:
+    gen = canonical([[ctx.pow(x, e) for e in exps] for x in xs], ctx.q)
+    gen.flags.writeable = False
+    return gen
+
+
+@functools.lru_cache(maxsize=256)
+def systematic_generator(total: int, k: int, ctx: FieldCtx) -> np.ndarray:
     """Systematic (total, k) MDS generator [I; C] with C a Cauchy matrix.
 
     C[i][j] = 1 / (x_i - y_j) at y_j = j and x_i = k + i, with its rows and
@@ -120,7 +157,8 @@ def systematic_generator(total: int, k: int, ctx: FieldCtx) -> list:
     scaling keeps that, so every k rows of [I; C] are invertible: the code is
     MDS by construction (Cauchy Reed-Solomon; Blömer et al., ICSI TR-95-048).
     The points 0..total-1 must be distinct in F_q, so total <= q; a larger
-    total raises TooManyWorkersForField.
+    total raises TooManyWorkersForField. The total x k array is built once
+    per (total, k, field) and is read-only.
     """
     if k < 1 or total < k:
         raise InvalidParameters(f"generator needs total >= k >= 1, got ({total}, {k})")
@@ -130,10 +168,12 @@ def systematic_generator(total: int, k: int, ctx: FieldCtx) -> list:
     # Scaled entry C[i][j] C[0][0] / (C[0][j] C[i][0]) = (k-j)(k+i) / ((k+i-j) k).
     for i in range(total - k):
         rows.append([(k - j) * (k + i) * ctx.inv((k + i - j) * k) % ctx.q for j in range(k)])
-    return rows
+    gen = canonical(rows, ctx.q)
+    gen.flags.writeable = False
+    return gen
 
 
-def _fill_line(gen: list, line, cells: dict, want: list, ctx: FieldCtx) -> list:
+def _fill_line(gen: np.ndarray, line, cells: dict, want: list, ctx: FieldCtx) -> list:
     """Blocks at positions `want` of a line of workers whose position j holds
     generator row gen[j] applied to k unknown blocks U.
 
@@ -142,9 +182,11 @@ def _fill_line(gen: list, line, cells: dict, want: list, ctx: FieldCtx) -> list:
     with the stacked known blocks.
     """
     q = ctx.q
-    have = [j for j, i in enumerate(line) if i in cells][: len(gen[0])]
-    inv = invert_matrix([gen[j] for j in have], q)
-    coeffs = [[sum(w * v for w, v in zip(gen[j], col)) % q for col in zip(*inv)] for j in want]
+    # Python ints: field.py arithmetic must never see fixed-width scalars.
+    rows = gen.tolist()
+    have = [j for j, i in enumerate(line) if i in cells][: len(rows[0])]
+    inv = invert_matrix([rows[j] for j in have], q)
+    coeffs = [[sum(w * v for w, v in zip(rows[j], col)) % q for col in zip(*inv)] for j in want]
     return combine(coeffs, [cells[line[j]] for j in have])
 
 

@@ -9,9 +9,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polycode
-from polycode import cluster
+from polycode import cluster, schemes
 from polycode.cluster import (
     DECODE_SECONDS_PER_OP,
     StragglerPlan,
@@ -21,7 +23,7 @@ from polycode.cluster import (
 from polycode.errors import DecodingFailure, HarnessTimeout, InvalidParameters
 from polycode.field import FieldCtx
 from polycode.matrixcore import FMatrix, ProblemShape, transpose_mul
-from polycode.schemes import Mds1dScheme, PolyScheme, UncodedScheme, get_scheme
+from polycode.schemes import SCHEME_NAMES, Mds1dScheme, PolyScheme, UncodedScheme, get_scheme
 from polycode.sim import LatencyModel
 
 BIG = FieldCtx()
@@ -139,6 +141,94 @@ class TestVirtualRuns:
         a, b, _ = make_instance(SHAPE5)
         with pytest.raises(InvalidParameters):
             run(PolyScheme(BIG), a, b, SHAPE5, clock=clock, time_scale=scale)
+
+
+@st.composite
+def scheme_shapes(draw):
+    """A scheme name and a small shape on which that scheme runs."""
+    name = draw(st.sampled_from(SCHEME_NAMES))
+    m = draw(st.integers(1, 3))
+    n = m if name == "product" else draw(st.integers(1, 3))
+    if name == "mds1d":
+        big_n = n * draw(st.integers(m, m + 3))
+    elif name == "product":
+        big_n = draw(st.integers(m, m + 2)) ** 2
+    else:
+        big_n = m * n + draw(st.integers(0, 5))
+    r, t = m * draw(st.integers(1, 3)), n * draw(st.integers(1, 3))
+    s = min(r, t) + draw(st.integers(0, 3))
+    return name, ProblemShape(s=s, r=r, t=t, m=m, n=n, N=big_n)
+
+
+def linear_cut(scheme, shape, times):
+    """The reference master: workers in (time, id) order, asking the
+    predicate at every arrival."""
+    order = sorted(range(scheme.num_shares(shape)), key=lambda i: (times[i], i))
+    for used in range(1, len(order) + 1):
+        if scheme.decodable(order[:used], shape):
+            return order[:used]
+    raise AssertionError("all workers together must be decodable")
+
+
+class TestVirtualCut:
+    @settings(deadline=None, max_examples=150)
+    @given(case=scheme_shapes(), data=st.data())
+    def test_cut_equals_a_scan_of_every_arrival(self, case, data):
+        # Delays from a few integers make ties common; ties go by worker id.
+        name, shape = case
+        delays = data.draw(st.lists(st.integers(0, 3), min_size=shape.N, max_size=shape.N))
+        scheme = get_scheme(name, BIG)
+        a, b, oracle = make_instance(shape, seed=len(delays))
+        plan = StragglerPlan(mode="per_worker", delays=tuple(float(d) for d in delays))
+        c, rep = run(scheme, a, b, shape, plan=plan)
+        want = linear_cut(scheme, shape, delays)
+        assert rep.responders == want
+        assert rep.arrival_times == [(i, float(delays[i])) for i in want]
+        assert rep.wall_latency == delays[want[-1]] + rep.decode_time
+        assert c == oracle
+
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_only_responders_compute_in_one_kernel_call(self, name, monkeypatch):
+        shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=16)
+        log = SimpleNamespace(batches=[], mulmods=0, kernel_in_batch=[])
+        compute, mulmod = cluster.compute_shares, schemes.mulmod
+
+        def counted_mulmod(*args):
+            log.mulmods += 1
+            return mulmod(*args)
+
+        def tracked(shares):
+            before = log.mulmods
+            log.batches.append([sh.worker_id for sh in shares])
+            out = compute(shares)
+            log.kernel_in_batch.append(log.mulmods - before)
+            return out
+
+        def forbidden(share):
+            raise AssertionError("the virtual clock computes no worker alone")
+
+        monkeypatch.setattr(schemes, "mulmod", counted_mulmod)
+        monkeypatch.setattr(cluster, "compute_shares", tracked)
+        monkeypatch.setattr(cluster, "worker_compute", forbidden)
+        a, b, oracle = make_instance(shape)
+        delays = (5, 1, 1, 7, 2, 0, 3, 3, 9, 4, 4, 6, 8, 2, 5, 1)
+        plan = StragglerPlan(mode="per_worker", delays=tuple(map(float, delays)))
+        c, rep = run(get_scheme(name, BIG), a, b, shape, plan=plan)
+        assert c == oracle
+        assert log.batches == [rep.responders]
+        assert log.kernel_in_batch == [1]
+
+    def test_never_decodable_computes_no_worker(self, monkeypatch):
+        class Never(PolyScheme):
+            def _decodable(self, ids, shape):
+                return False
+
+        computed = []
+        monkeypatch.setattr(cluster, "compute_shares", computed.append)
+        a, b, _ = make_instance(SHAPE5)
+        with pytest.raises(HarnessTimeout):
+            run(Never(BIG), a, b, SHAPE5)
+        assert computed == []
 
 
 class TestThreadsClock:

@@ -203,3 +203,66 @@ def test_strided_operands():
     y = rng.integers(0, q, size=(9, 5), dtype=np.int64)
     check(x.T, y, q)
     check(x[:, ::-1], y[:7, ::-1], q)
+
+
+def check_stacked(x, y, q):
+    """A stacked product equals mulmod of each slice and the oracle."""
+    got = mulmod(x, y, q)
+    batch = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    assert got.dtype == np.int64
+    assert got.shape == batch + (x.shape[-2], y.shape[-1])
+    xb = np.broadcast_to(x, batch + x.shape[-2:])
+    yb = np.broadcast_to(y, batch + y.shape[-2:])
+    for idx in np.ndindex(batch):
+        assert got[idx].tolist() == mulmod(xb[idx], yb[idx], q).tolist() == oracle(xb[idx], yb[idx], q)
+
+
+stack_shapes = st.sampled_from((((3,), (3,)), ((2, 2), (2, 2)), ((4,), ()), ((), (2,)), ((2, 1), (3,))))
+
+
+@settings_kernel
+@given(
+    q=primes,
+    batches=stack_shapes,
+    n=st.integers(1, 4),
+    k=st.integers(0, 24),
+    p=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(q=2**31 - 1, batches=((3,), (3,)), n=2, k=64, p=3, seed=0)
+@example(q=2**61 - 1, batches=((3,), (3,)), n=2, k=5, p=3, seed=0)
+@example(q=2**62 - 57, batches=((2, 2), (2, 2)), n=1, k=0, p=2, seed=0)
+def test_stacked_operands_match_each_slice(q, batches, n, k, p, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, q, size=batches[0] + (n, k), dtype=np.int64)
+    y = rng.integers(0, q, size=batches[1] + (k, p), dtype=np.int64)
+    check_stacked(x, y, q)
+
+
+@settings(deadline=None, max_examples=10)
+@given(q=primes)
+@example(q=2**31 - 1)
+@example(q=2**61 - 1)
+@example(q=2**62 - 57)
+def test_stacked_operands_at_limb_count_switches(q):
+    # The widest entries at the last two k of each limb count and the first
+    # of the next, for both splits; q - 2 makes odd sums at odd k. The second
+    # slice of y holds other values, so a slice mixed up with another fails.
+    bits = (q - 1).bit_length()
+    ks = {k for switch in limb_switches(bits) + one_sided_switches(bits)
+          for k in range(max(switch - 2, 0), switch + 1)}
+    for k in sorted(ks):
+        for v in {q - 1, max(q - 2, 0)}:
+            x = np.full((2, 1, k), v, dtype=np.int64)
+            y = np.full((2, k, 2), v, dtype=np.int64)
+            y[1] = np.maximum(v - 1, 0)
+            check_stacked(x, y, q)
+
+
+def test_stacked_transposed_operands():
+    # compute_shares passes the stacked A~ blocks transposed, as a view.
+    q = 2**61 - 1
+    rng = np.random.default_rng(4)
+    a = rng.integers(0, q, size=(5, 9, 3), dtype=np.int64)
+    b = rng.integers(0, q, size=(5, 9, 4), dtype=np.int64)
+    check_stacked(a.transpose(0, 2, 1), b, q)

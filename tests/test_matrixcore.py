@@ -12,7 +12,6 @@ from polycode.matrixcore import (
     FMatrix,
     ProblemShape,
     assemble_blocks,
-    hconcat,
     lincomb,
     load_matrix,
     save_matrix,
@@ -61,7 +60,7 @@ class TestSplitCols:
         m = FMatrix.random(4, 4, F7, rng)
         parts = split_cols(m, 2)
         assert [p.cols for p in parts] == [2, 2]
-        assert hconcat(parts) == m
+        assert assemble_blocks([parts]) == m
 
     def test_identity_split(self):
         rng = np.random.default_rng(1)

@@ -20,12 +20,15 @@ from polycode.errors import (
 from polycode.field import FieldCtx, invert_matrix
 from polycode.matrixcore import FMatrix, ProblemShape, transpose_mul
 from polycode.schemes import (
+    SCHEME_NAMES,
     CodeParams,
     Mds1dScheme,
     PolyScheme,
     ProductScheme,
     UncodedScheme,
     WorkerResult,
+    _vandermonde,
+    compute_shares,
     get_scheme,
     systematic_generator,
     threshold,
@@ -221,7 +224,7 @@ class TestPolyErrors:
 class TestSystematicGenerator:
     def test_single_parity_is_all_ones(self):
         gen = systematic_generator(3, 2, F7)
-        assert gen == [[1, 0], [0, 1], [1, 1]]
+        assert gen.tolist() == [[1, 0], [0, 1], [1, 1]]
 
     # Every (total, k) with total <= min(q, 12) in four small fields, plus
     # one case in the default field.
@@ -234,7 +237,7 @@ class TestSystematicGenerator:
 
     @pytest.mark.parametrize("q,total,k", CASES, ids=[f"q{q}-{t}-{k}" for q, t, k in CASES])
     def test_every_subset_invertible(self, q, total, k):
-        gen = systematic_generator(total, k, FieldCtx(q))
+        gen = systematic_generator(total, k, FieldCtx(q)).tolist()
         assert gen[:k] == np.eye(k, dtype=int).tolist()
         for subset in combinations(range(total), k):
             invert_matrix([gen[i] for i in subset], q)
@@ -242,6 +245,96 @@ class TestSystematicGenerator:
     def test_more_rows_than_field_elements_rejected(self):
         with pytest.raises(TooManyWorkersForField):
             systematic_generator(8, 3, F7)
+
+
+class TestCachedCodes:
+    def test_generators_are_built_once_and_read_only(self):
+        for build in (lambda: systematic_generator(6, 3, BIG),
+                      lambda: _vandermonde([0, 1, 2, 3], range(2), BIG)):
+            gen = build()
+            assert gen is build()
+            assert gen.dtype == np.int64 and not gen.flags.writeable
+            with pytest.raises(ValueError):
+                gen[0, 0] = 5
+
+    def test_vandermonde_key_holds_the_points_exponents_and_field(self):
+        assert _vandermonde([2, 3], [0, 1, 2], F7).tolist() == [[1, 2, 4], [1, 3, 2]]
+        assert _vandermonde([2, 3], [0, 2], F7).tolist() == [[1, 4], [1, 2]]
+        assert _vandermonde([2, 3], [0, 1, 2], FieldCtx(5)).tolist() == [[1, 2, 4], [1, 3, 4]]
+        assert _vandermonde(np.array([2, 3]), range(3), F7) is _vandermonde([2, 3], [0, 1, 2], F7)
+
+    def test_code_params_checked_once_per_shape(self, monkeypatch):
+        calls = []
+        exponents = CodeParams.exponents
+
+        def counted(self, m, n):
+            calls.append((m, n))
+            return exponents(self, m, n)
+
+        monkeypatch.setattr(CodeParams, "exponents", counted)
+        scheme = PolyScheme(BIG, params=CodeParams(1, 7))
+        shape = ProblemShape(s=8, r=6, t=4, m=3, n=2, N=12)
+        for used in range(1, 13):
+            scheme.decodable(range(used), shape)
+        assert len(calls) <= 1
+
+    def test_a_colliding_pair_is_rejected_every_time(self):
+        for _ in range(2):
+            with pytest.raises(InvalidCodeParams):
+                CodeParams(1, 1).validate(2, 2)
+
+
+class TestComputeShares:
+    SHAPES = {
+        "poly": ProblemShape(s=8, r=4, t=6, m=2, n=3, N=7),
+        "mds1d": ProblemShape(s=8, r=4, t=6, m=2, n=3, N=9),
+        "product": ProblemShape(s=8, r=4, t=4, m=2, n=2, N=9),
+        "uncoded": ProblemShape(s=8, r=4, t=6, m=2, n=3, N=6),
+    }
+
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    @pytest.mark.parametrize("ctx", (F7, BIG, FieldCtx(2**61 - 1)), ids=("q7", "q31", "q61"))
+    def test_matches_worker_compute(self, name, ctx):
+        shape = self.SHAPES[name]
+        a, b, _ = make_instance(shape, ctx)
+        shares = get_scheme(name, ctx).encode(a, b, shape)
+        picked = shares[::-2]
+        assert compute_shares(picked) == [worker_compute(sh) for sh in picked]
+
+    def test_no_shares_no_results(self):
+        assert compute_shares([]) == []
+
+    def _shares(self, ctx=BIG):
+        shape = self.SHAPES["poly"]
+        a, b, _ = make_instance(shape, ctx)
+        return PolyScheme(ctx).encode(a, b, shape)
+
+    def test_operands_in_other_fields(self):
+        shares = self._shares()
+        other = self._shares(F7)[1]
+        for bad in (other, dataclasses.replace(shares[1], b_tilde=other.b_tilde)):
+            with pytest.raises(ShapeMismatch):
+                compute_shares([shares[0], bad])
+
+    def test_row_counts_differ(self):
+        shares = self._shares()
+        short = FMatrix(shares[0].b_tilde.data[:-1], BIG)
+        with pytest.raises(ShapeMismatch):
+            compute_shares([dataclasses.replace(shares[0], b_tilde=short)])
+
+    def test_block_shapes_differ(self):
+        sh = self._shares()[1]
+
+        def doubled(mat, axis):
+            return FMatrix(np.concatenate([mat.data] * 2, axis=axis), BIG)
+
+        cases = (
+            dataclasses.replace(sh, b_tilde=doubled(sh.b_tilde, 1)),
+            dataclasses.replace(sh, a_tilde=doubled(sh.a_tilde, 0), b_tilde=doubled(sh.b_tilde, 0)),
+        )
+        for bad in cases:
+            with pytest.raises(ShapeMismatch):
+                compute_shares([self._shares()[0], bad])
 
 
 class TestMds1d:
