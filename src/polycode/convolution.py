@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InvalidParameters, NonDivisiblePartition, NotEnoughResults
-from .field import FieldCtx, lagrange_weight_matrix
+from .field import FieldCtx
 from .matrixcore import canonical, load_array, mulmod, save_array
-from .schemes import _evaluation_points, _first_per_worker, _vandermonde
+from .schemes import _evaluation_points, _first_per_worker, _interpolation_weights, _vandermonde
 
 
 def as_vector(values, ctx: FieldCtx):
@@ -96,7 +96,7 @@ def conv_decode(results: list, m: int, n: int, ctx: FieldCtx):
     if len(first) < need:
         raise NotEnoughResults(f"need {need} distinct results, got {len(first)}")
     picked = [first[i] for i in sorted(first)[:need]]
-    weights = np.array(lagrange_weight_matrix([r.x % ctx.q for r in picked], ctx), dtype=np.int64)
+    weights = _interpolation_weights([r.x % ctx.q for r in picked], ctx)
     vlen = len(picked[0].value)
     if vlen % 2 != 1:
         raise InvalidParameters("worker results must have odd length 2s-1")

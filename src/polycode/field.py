@@ -77,18 +77,6 @@ class FieldCtx:
     def __hash__(self):
         return hash(("FieldCtx", self.q))
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
     def inv(self, a: int) -> int:
         if a % self.q == 0:
             raise DivisionByZero("inverse of zero")

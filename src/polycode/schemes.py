@@ -32,7 +32,6 @@ from .field import FieldCtx, bw_decode, invert_matrix, lagrange_weight_matrix
 from .matrixcore import (
     FMatrix,
     ProblemShape,
-    assemble_blocks,
     canonical,
     combine,
     mulmod,
@@ -173,21 +172,47 @@ def systematic_generator(total: int, k: int, ctx: FieldCtx) -> np.ndarray:
     return gen
 
 
-def _fill_line(gen: np.ndarray, line, cells: dict, want: list, ctx: FieldCtx) -> list:
-    """Blocks at positions `want` of a line of workers whose position j holds
-    generator row gen[j] applied to k unknown blocks U.
+@functools.lru_cache(maxsize=1024)
+def _line_coeffs(total: int, k: int, ctx: FieldCtx, have: tuple, want: tuple) -> np.ndarray:
+    """Coefficients of the blocks at positions `want` of a line of workers,
+    in terms of the blocks at its k positions `have`.
 
-    U solves gen[j] U = cells[line[j]] over the line's first k known cells;
-    the wanted blocks are gen[w] U, one product of gen[want] times the inverse
-    with the stacked known blocks.
+    Position j of the line holds gen[j] U for the systematic (total, k)
+    generator and k unknown blocks U, so U = inv(gen[have]) times the known
+    blocks, and the wanted blocks are gen[want] inv(gen[have]) times them.
+    The len(want) x k array is built once per erasure pattern and field, and
+    is read-only.
     """
     q = ctx.q
     # Python ints: field.py arithmetic must never see fixed-width scalars.
-    rows = gen.tolist()
-    have = [j for j, i in enumerate(line) if i in cells][: len(rows[0])]
+    rows = systematic_generator(total, k, ctx).tolist()
     inv = invert_matrix([rows[j] for j in have], q)
-    coeffs = [[sum(w * v for w, v in zip(rows[j], col)) % q for col in zip(*inv)] for j in want]
-    return combine(coeffs, [cells[line[j]] for j in have])
+    coeffs = np.array([[sum(w * v for w, v in zip(rows[j], col)) % q for col in zip(*inv)]
+                       for j in want], dtype=np.int64)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _interpolation_weights(xs, ctx: FieldCtx) -> np.ndarray:
+    """`lagrange_weight_matrix` at the points xs as an int64 array, built once
+    per (points, field) and read-only. Repeated points raise
+    DuplicateEvaluationPoint on every call."""
+    return _interpolation_weights_of(tuple(map(operator.index, xs)), ctx)
+
+
+@functools.lru_cache(maxsize=32)
+def _interpolation_weights_of(xs: tuple, ctx: FieldCtx) -> np.ndarray:
+    weights = np.array(lagrange_weight_matrix(list(xs), ctx), dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
+
+
+def _assemble(blocks: np.ndarray, shape: ProblemShape, ctx: FieldCtx) -> FMatrix:
+    """The r x t output from its m*n blocks, one flattened block per row in
+    (j, k) order: block (j, k) = A_j^T B_k fills block row j, block column k."""
+    m, n, br, bc = shape.m, shape.n, shape.block_rows, shape.block_cols
+    data = blocks.reshape(m, n, br, bc).transpose(0, 2, 1, 3).reshape(m * br, n * bc)
+    return FMatrix(data, ctx, _canonical=True)
 
 
 # Seed of the random fold in `_interleaved_decode`. Its output never depends
@@ -221,8 +246,8 @@ def _interleaved_decode(xs: list, received: np.ndarray, k: int, t: int, ctx: Fie
     except DecodingFailure:
         return None
     clean = [i for i, (x, w) in enumerate(zip(xs, word)) if poly.evaluate(x, ctx) == w][:k]
-    weights = lagrange_weight_matrix([xs[i] for i in clean], ctx)
-    coeffs = mulmod(canonical(weights, q), received[clean], q)
+    weights = _interpolation_weights([xs[i] for i in clean], ctx)
+    coeffs = mulmod(weights, received[clean], q)
     vander = _vandermonde(xs, range(k), ctx)
     agree = (mulmod(vander, coeffs, q) == received).sum(axis=0)
     return coeffs if (agree >= len(xs) - t).all() else None
@@ -247,7 +272,11 @@ class Scheme:
     blocks (None: that input is not coded) and, per worker, the row of each
     that it stores. `encode` applies them; `decode` keeps the first result of
     each worker with a share, checks its shape and `decodable`, and hands the
-    blocks to `_solve`. `latency` is `_decodable`'s rule on a batch of trials.
+    kept blocks' arrays to `_solve`. `_solve` returns the m*n output blocks as
+    one array, a flattened block per row in (j, k) order, built with one
+    `mulmod` per group batch or peeled line from coefficients cached per
+    erasure pattern; one reshape turns it into the output. `latency` is
+    `_decodable`'s rule on a batch of trials.
     """
 
     name: str = ""
@@ -297,26 +326,27 @@ class Scheme:
         raise NotImplementedError
 
     def _select(self, results: list, shares: list, shape: ProblemShape) -> dict:
-        """Worker id -> block of the first result from each worker that has a
-        share; results from other ids are dropped. Raises ShapeMismatch for a
-        kept block of the wrong shape, then NotEnoughResults unless the kept
-        ids are decodable."""
+        """Worker id -> block array of the first result from each worker that
+        has a share; results from other ids are dropped. Raises ShapeMismatch
+        for a kept block of the wrong shape, then NotEnoughResults unless the
+        kept ids are decodable."""
         ids = {s.worker_id for s in shares}
-        cells = {i: r.c_tilde for i, r in _first_per_worker(results).items() if i in ids}
+        cells = {i: r.c_tilde.data for i, r in _first_per_worker(results).items() if i in ids}
         want = (shape.block_rows, shape.block_cols)
         for i, c in cells.items():
-            if c.data.shape != want:
-                raise ShapeMismatch(f"worker {i} sent a block of shape {c.data.shape}, not {want}")
+            if c.shape != want:
+                raise ShapeMismatch(f"worker {i} sent a block of shape {c.shape}, not {want}")
         if not self.decodable(cells.keys(), shape):
             raise NotEnoughResults(f"{self.name}: {len(cells)} distinct results are not decodable")
         return cells
 
     def decode(self, results: list, shares: list, shape: ProblemShape) -> FMatrix:
-        return assemble_blocks(self._solve(self._select(results, shares, shape), shares, shape))
+        return _assemble(self._solve(self._select(results, shares, shape), shares, shape),
+                         shape, self.ctx)
 
-    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
-        """The m x n grid of output blocks A_j^T B_k from a decodable set of
-        worker blocks."""
+    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
+        """The (m*n, block_rows*block_cols) array whose row j*n + k is output
+        block A_j^T B_k, flattened, from a decodable set of worker blocks."""
         raise NotImplementedError
 
     def threshold(self, shape: ProblemShape) -> int:
@@ -367,15 +397,14 @@ class PolyScheme(Scheme):
     def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
         return np.sort(times, axis=1)[:, self.required_results(shape) - 1]
 
-    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
+    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
         # Interpolate from the lowest worker ids, so the work is deterministic.
         picked = sorted(cells)[: self.required_results(shape)]
         x_of = {s.worker_id: s.x for s in shares}
-        weights = lagrange_weight_matrix([x_of[i] for i in picked], self.ctx)
-        exps = self._params(shape).exponents(shape.m, shape.n)
-        coeffs = combine([weights[e] for e in exps.values()], [cells[i] for i in picked])
-        n = shape.n
-        return [coeffs[j * n : (j + 1) * n] for j in range(shape.m)]
+        weights = _interpolation_weights([x_of[i] for i in picked], self.ctx)
+        exps = list(self._params(shape).exponents(shape.m, shape.n).values())
+        known = np.stack([cells[i] for i in picked]).reshape(len(picked), -1)
+        return mulmod(weights[exps], known, self.ctx.q)
 
     def decode_with_errors(
         self, results: list, shares: list, shape: ProblemShape, max_errors: int = None
@@ -408,15 +437,12 @@ class PolyScheme(Scheme):
         ordered = sorted(cells)
         x_of = {s.worker_id: s.x for s in shares}
         xs = [x_of[i] for i in ordered]
-        br, bc = shape.block_rows, shape.block_cols
-        received = np.stack([cells[i].data.reshape(br * bc) for i in ordered])
+        received = np.stack([cells[i] for i in ordered]).reshape(len(ordered), -1)
         coeffs = _interleaved_decode(xs, received, k, t, self.ctx)
         if coeffs is None:
             coeffs = _entrywise_decode(xs, received, k, t, self.ctx)
-        exps = params.exponents(shape.m, shape.n)
-        grid = [[coeffs[exps[(j, kk)]].reshape(br, bc) for kk in range(shape.n)]
-                for j in range(shape.m)]
-        return FMatrix(np.block(grid), self.ctx, _canonical=True)
+        exps = list(params.exponents(shape.m, shape.n).values())
+        return _assemble(coeffs[exps], shape, self.ctx)
 
     def threshold(self, shape: ProblemShape) -> int:
         return self.required_results(shape)
@@ -460,13 +486,16 @@ class Mds1dScheme(Scheme):
         # each group needs its m-th fastest; the slowest group gates the decode
         return np.sort(groups, axis=2)[:, :, shape.m - 1].max(axis=1)
 
-    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
-        g, m = self.group_size(shape), shape.m
-        gen = self._layout(shape)[0]
-        # Each group is one line; its unknowns are the systematic blocks.
-        cols = [_fill_line(gen, range(grp * g, (grp + 1) * g), cells, range(m), self.ctx)
-                for grp in range(shape.n)]
-        return [list(row) for row in zip(*cols)]
+    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
+        g, m, n = self.group_size(shape), shape.m, shape.n
+        # Each group is one line whose unknowns are its systematic blocks,
+        # solved from its first m known blocks; all n groups are one batched
+        # product, whose block (group k, position j) is output block (j, k).
+        haves = [tuple(j for j in range(g) if k * g + j in cells)[:m] for k in range(n)]
+        coeffs = np.stack([_line_coeffs(g, m, self.ctx, have, tuple(range(m))) for have in haves])
+        known = np.stack([cells[k * g + j] for k, have in enumerate(haves) for j in have])
+        out = mulmod(coeffs, known.reshape(n, m, -1), self.ctx.q)
+        return out.transpose(1, 0, 2).reshape(m * n, -1)
 
     def threshold(self, shape: ProblemShape) -> int:
         g = self.group_size(shape)
@@ -583,17 +612,25 @@ class ProductScheme(Scheme):
             grid, live = grid[moved], live[moved]
         return out
 
-    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
+    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
         side, m = self.grid_side(shape), shape.m
-        gen = self._layout(shape)[0]
-        # Replay the peeling schedule: each line's missing cells are solved
-        # from its first m known cells.
-        for line in self._peel_known(set(cells), side, m)[1]:
-            missing = [j for j, i in enumerate(line) if i not in cells]
-            filled = _fill_line(gen, line, cells, missing, self.ctx)
-            cells.update((line[j], blk) for j, blk in zip(missing, filled))
+        # Row i of the work array is worker i's block, flattened; rows of
+        # cells not yet known are never read.
+        work = np.empty((side * side, shape.block_rows * shape.block_cols), dtype=np.int64)
+        ids = sorted(cells)
+        work[ids] = np.stack([cells[i] for i in ids]).reshape(len(ids), -1)
+        known = set(ids)
+        # Replay the peeling schedule: each line's missing cells are one
+        # product of its cached coefficients with its first m known cells.
+        for line in self._peel_known(known, side, m)[1]:
+            have = tuple(j for j, i in enumerate(line) if i in known)[:m]
+            want = tuple(j for j, i in enumerate(line) if i not in known)
+            rows = work[line.start : line.stop : line.step]
+            rows[list(want)] = mulmod(_line_coeffs(side, m, self.ctx, have, want),
+                                      rows[list(have)], self.ctx.q)
+            known.update(line)
         # cell (row i, col j) holds A_j^T B_i, i.e. output block (j, i).
-        return [[cells[i * side + j] for i in range(m)] for j in range(m)]
+        return work.reshape(side, side, -1)[:m, :m].transpose(1, 0, 2).reshape(m * m, -1)
 
     def threshold(self, shape: ProblemShape) -> int:
         side = self.grid_side(shape)
@@ -626,9 +663,10 @@ class UncodedScheme(Scheme):
     def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
         return times.max(axis=1)
 
-    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> list:
-        n = shape.n
-        return [[cells[j * n + k] for k in range(n)] for j in range(shape.m)]
+    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
+        # Worker j*n + k holds output block (j, k).
+        total = shape.m * shape.n
+        return np.stack([cells[i] for i in range(total)]).reshape(total, -1)
 
     def threshold(self, shape: ProblemShape) -> int:
         return shape.m * shape.n
