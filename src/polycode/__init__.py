@@ -13,7 +13,6 @@ from .errors import (
 from .field import DEFAULT_Q, FieldCtx, Poly, bw_decode, embed_reals, interpolate, unembed_reals
 from .matrixcore import FMatrix, ProblemShape, lincomb, split_cols, transpose_mul
 from .schemes import (
-    CodeParams,
     Mds1dScheme,
     PolyScheme,
     ProductScheme,

@@ -1,7 +1,7 @@
-"""Distributed convolution via the (1,1)-polynomial variant.
+"""Distributed convolution by a polynomial code of degree m+n-2.
 
-Vectors are numpy int64 arrays of canonical entries in [0, q). Each worker
-stores one combined block of each input, convolves them locally, and the
+Vectors are numpy int64 arrays of canonical entries in [0, q). Worker i
+stores sum_j a_j i^j and sum_k b_k i^k, convolves them locally, and the
 master interpolates the m+n-1 coefficient vectors and reassembles the output
 by overlap-add. Encoding, the local convolution and interpolation are each one
 `mulmod` product.
@@ -61,15 +61,15 @@ class ConvResult:
     value: object  # local convolution, length 2s - 1
 
 
-def conv_encode(a_blocks: list, b_blocks: list, big_n: int, ctx: FieldCtx, points: list = None) -> list:
-    """Worker i stores sum_j a_j x_i^j and sum_j b_j x_i^j (the (1,1) design)."""
+def conv_encode(a_blocks: list, b_blocks: list, big_n: int, ctx: FieldCtx) -> list:
+    """Worker i stores sum_j a_j i^j and sum_k b_k i^k."""
     if not a_blocks or not b_blocks:
         raise EmptyInput("need at least one block of each input")
     s = len(a_blocks[0])
     for blk in list(a_blocks) + list(b_blocks):
         if len(blk) != s:
             raise InvalidParameters("all blocks must share the same length")
-    pts = _evaluation_points(points, big_n, ctx)
+    pts = _evaluation_points(big_n, ctx)
 
     def encode(blocks):
         gen = _vandermonde(pts, range(len(blocks)), ctx)
@@ -91,6 +91,8 @@ def conv_decode(results: list, m: int, n: int, ctx: FieldCtx):
     overlap-add into the output: coefficient slot d contributes to positions
     d*s .. d*s + 2s - 2.
     """
+    if m < 1 or n < 1:
+        raise InvalidParameters(f"m and n must be positive, got m={m}, n={n}")
     need = m + n - 1
     first = _first_per_worker(results)
     if len(first) < need:
@@ -125,6 +127,8 @@ def load_vector(path, ctx: FieldCtx = None) -> tuple:
 def pad_to_multiple(vec, parts: int, ctx: FieldCtx):
     """Zero-pad so that `parts` divides the length (CLI convenience)."""
     vec = as_vector(vec, ctx)
+    if parts < 1:
+        raise NonDivisiblePartition(f"cannot pad to a multiple of {parts}")
     rem = len(vec) % parts
     if rem:
         vec = np.concatenate([vec, np.zeros(parts - rem, dtype=np.int64)])

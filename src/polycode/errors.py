@@ -45,10 +45,6 @@ class TooManyWorkersForField(PolycodeError):
     """More workers than distinct field elements available."""
 
 
-class InvalidCodeParams(PolycodeError):
-    """(alpha, beta) exponents collide for the given partition counts."""
-
-
 class NotDecodable(PolycodeError):
     """The responded set does not satisfy the scheme's decodability predicate."""
 

@@ -18,8 +18,6 @@ import numpy as np
 
 from .errors import (
     DecodingFailure,
-    DuplicateEvaluationPoint,
-    InvalidCodeParams,
     InvalidParameters,
     NonDivisibleGroups,
     InvalidGrid,
@@ -38,36 +36,6 @@ from .matrixcore import (
     split_cols,
     transpose_mul,
 )
-
-@dataclass(frozen=True)
-class CodeParams:
-    """Exponent pair (alpha, beta) of the polynomial code."""
-
-    alpha: int
-    beta: int
-
-    @functools.lru_cache(maxsize=256)
-    def validate(self, m: int, n: int) -> None:
-        """Raises InvalidCodeParams unless the exponents are nonnegative and
-        the mn of them distinct. Cached: each (params, m, n) is checked once."""
-        if self.alpha < 0 or self.beta < 0:
-            raise InvalidCodeParams("exponents must be nonnegative")
-        exps = self.exponents(m, n)
-        if len(set(exps.values())) != m * n:
-            raise InvalidCodeParams(
-                f"(alpha,beta)=({self.alpha},{self.beta}) collides for m={m}, n={n}"
-            )
-
-    def exponents(self, m: int, n: int) -> dict:
-        return {(j, k): j * self.alpha + k * self.beta for j in range(m) for k in range(n)}
-
-    def degree(self, m: int, n: int) -> int:
-        return (m - 1) * self.alpha + (n - 1) * self.beta
-
-    @classmethod
-    def default(cls, m: int) -> "CodeParams":
-        return cls(alpha=1, beta=m)
-
 
 @dataclass(frozen=True)
 class WorkerShare:
@@ -119,17 +87,11 @@ def _first_per_worker(results: list) -> dict:
     return {r.worker_id: r for r in reversed(results)}
 
 
-def _evaluation_points(points: list, big_n: int, ctx: FieldCtx) -> list:
-    """The N distinct evaluation points mod q, 0..N-1 unless given."""
+def _evaluation_points(big_n: int, ctx: FieldCtx) -> list:
+    """The points 0..N-1; N > q raises, as they would not be distinct in F_q."""
     if big_n > ctx.q:
         raise TooManyWorkersForField(f"N={big_n} exceeds field size q={ctx.q}")
-    pts = points if points is not None else list(range(big_n))
-    if len(pts) != big_n:
-        raise InvalidParameters(f"{len(pts)} points for N={big_n} workers")
-    pts = [p % ctx.q for p in pts]
-    if len(set(pts)) != len(pts):
-        raise DuplicateEvaluationPoint("evaluation points must be distinct")
-    return pts
+    return list(range(big_n))
 
 
 def _vandermonde(xs, exps, ctx: FieldCtx) -> np.ndarray:
@@ -358,26 +320,21 @@ class Scheme:
 
 
 class PolyScheme(Scheme):
-    """(alpha, beta)-polynomial code; default (1, m) hits the mn threshold."""
+    """The polynomial code at the points x_i = i, i = 0..N-1.
+
+    With A and B split into m and n column blocks, worker i stores
+    A~_i = sum_j A_j x_i^j and B~_i = sum_k B_k x_i^(k m). Its product is
+    the value at x_i of a polynomial of degree mn - 1 with A_j^T B_k at
+    degree j + k m, so any mn of the N <= q distinct points interpolate it.
+    """
 
     name = "poly"
 
-    def __init__(self, ctx: FieldCtx, params: CodeParams = None, points: list = None):
-        super().__init__(ctx)
-        self.params = params
-        self.points = points
-
-    def _params(self, shape: ProblemShape) -> CodeParams:
-        p = self.params or CodeParams.default(shape.m)
-        p.validate(shape.m, shape.n)
-        return p
-
     def required_results(self, shape: ProblemShape) -> int:
-        return self._params(shape).degree(shape.m, shape.n) + 1
+        return shape.m * shape.n
 
     def validate(self, shape: ProblemShape) -> None:
-        self._params(shape)
-        _evaluation_points(self.points, shape.N, self.ctx)
+        _evaluation_points(shape.N, self.ctx)
         if shape.N < self.required_results(shape):
             raise InvalidParameters(
                 f"N={shape.N} below the polynomial code threshold "
@@ -385,24 +342,24 @@ class PolyScheme(Scheme):
             )
 
     def _layout(self, shape: ProblemShape) -> tuple:
-        params = self._params(shape)
-        pts = _evaluation_points(self.points, shape.N, self.ctx)
-        a_gen = _vandermonde(pts, [j * params.alpha for j in range(shape.m)], self.ctx)
-        b_gen = _vandermonde(pts, [k * params.beta for k in range(shape.n)], self.ctx)
+        pts = _evaluation_points(shape.N, self.ctx)
+        a_gen = _vandermonde(pts, range(shape.m), self.ctx)
+        b_gen = _vandermonde(pts, [k * shape.m for k in range(shape.n)], self.ctx)
         return a_gen, b_gen, [(i, i, x) for i, x in enumerate(pts)]
 
     def _decodable(self, ids: set, shape: ProblemShape) -> bool:
         return len(ids) >= self.required_results(shape)
 
     def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
-        return np.sort(times, axis=1)[:, self.required_results(shape) - 1]
+        k = self.required_results(shape)  # fewer workers than K never decode
+        return np.sort(times, axis=1)[:, k - 1] if times.shape[1] >= k else np.full(len(times), np.inf)
 
     def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
         # Interpolate from the lowest worker ids, so the work is deterministic.
         picked = sorted(cells)[: self.required_results(shape)]
         x_of = {s.worker_id: s.x for s in shares}
         weights = _interpolation_weights([x_of[i] for i in picked], self.ctx)
-        exps = list(self._params(shape).exponents(shape.m, shape.n).values())
+        exps = [j + k * shape.m for j in range(shape.m) for k in range(shape.n)]
         known = np.stack([cells[i] for i in picked]).reshape(len(picked), -1)
         return mulmod(weights[exps], known, self.ctx.q)
 
@@ -428,7 +385,6 @@ class PolyScheme(Scheme):
         entries decoded together (`_interleaved_decode`). Entry-by-entry
         Berlekamp-Welch runs only when that result fails its check.
         """
-        params = self._params(shape)
         cells = self._select(results, shares, shape)
         if len(cells) != shape.N:
             raise NotEnoughResults("error decoding needs results from all N workers")
@@ -441,7 +397,7 @@ class PolyScheme(Scheme):
         coeffs = _interleaved_decode(xs, received, k, t, self.ctx)
         if coeffs is None:
             coeffs = _entrywise_decode(xs, received, k, t, self.ctx)
-        exps = list(params.exponents(shape.m, shape.n).values())
+        exps = [j + k * shape.m for j in range(shape.m) for k in range(shape.n)]
         return _assemble(coeffs[exps], shape, self.ctx)
 
     def threshold(self, shape: ProblemShape) -> int:
@@ -679,10 +635,10 @@ SCHEMES = (PolyScheme, Mds1dScheme, ProductScheme, UncodedScheme)
 SCHEME_NAMES = tuple(cls.name for cls in SCHEMES)
 
 
-def get_scheme(name: str, ctx: FieldCtx, **kwargs) -> Scheme:
+def get_scheme(name: str, ctx: FieldCtx) -> Scheme:
     if name not in SCHEME_NAMES:
         raise InvalidParameters(f"unknown scheme {name!r}; choose from {SCHEME_NAMES}")
-    return SCHEMES[SCHEME_NAMES.index(name)](ctx, **kwargs)
+    return SCHEMES[SCHEME_NAMES.index(name)](ctx)
 
 
 def threshold(name: str, shape: ProblemShape, ctx: FieldCtx = None) -> int:

@@ -83,6 +83,10 @@ class TestSplitVector:
         assert list(padded) == [1, 2, 3, 0]
         assert list(pad_to_multiple([1, 2], 2, F7)) == [1, 2]
 
+    def test_pad_to_no_parts(self):
+        with pytest.raises(NonDivisiblePartition):
+            pad_to_multiple([1, 2, 3], 0, F7)
+
 
 class TestConvEncode:
     def test_point_zero_keeps_first_blocks(self):
@@ -98,11 +102,6 @@ class TestConvEncode:
         sh1 = conv_encode(a_blocks, b_blocks, 3, F7)[1]
         assert list(sh1.a_tilde) == [(1 + 3) % 7, (2 + 4) % 7]
         assert list(sh1.b_tilde) == [(5 + 0) % 7, (6 + 1) % 7]
-
-    def test_duplicate_points_rejected(self):
-        blocks = split_vector([1, 2], 2, F7)
-        with pytest.raises(DuplicateEvaluationPoint):
-            conv_encode(blocks, blocks, 2, F7, points=[3, 3])
 
     def test_too_many_workers_for_field(self):
         blocks = split_vector([1, 2], 2, F7)
@@ -142,6 +141,13 @@ class TestConvDecode:
         results[1] = dataclasses.replace(results[1], x=results[0].x)
         with pytest.raises(DuplicateEvaluationPoint):
             conv_decode(results, 2, 2, F7)
+
+    @pytest.mark.parametrize("m, n", ((0, 1), (0, 0), (1, 0)))
+    def test_nonpositive_partition_counts(self, m, n):
+        blocks = split_vector([1, 2, 3, 4], 2, F7)
+        results = [conv_worker_compute(sh, F7) for sh in conv_encode(blocks, blocks, 3, F7)]
+        with pytest.raises(InvalidParameters):
+            conv_decode(results, m, n, F7)
 
     def test_all_small_partitions_match_oracle(self):
         rng = np.random.default_rng(3)

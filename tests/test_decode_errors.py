@@ -17,16 +17,15 @@ from polycode import schemes
 from polycode.errors import DecodingFailure, InvalidParameters, PolycodeError, ShapeMismatch
 from polycode.field import FieldCtx, bw_decode
 from polycode.matrixcore import FMatrix, ProblemShape, assemble_blocks, transpose_mul
-from polycode.schemes import CodeParams, PolyScheme, WorkerResult, worker_compute
+from polycode.schemes import PolyScheme, WorkerResult, worker_compute
 
 FIELDS = (FieldCtx(257), FieldCtx(2**31 - 1), FieldCtx(2**61 - 1))
 PATTERNS = ("random", "offset", "per_entry", "forged")
-# (shape, code params): K = 4 with N - K even; K = 3 with N - K odd; and
-# exponents {0, 1, 3, 4}, so K = 5 with a gap at degree 2.
-CASES = (
-    (ProblemShape(s=4, r=4, t=4, m=2, n=2, N=12), None),
-    (ProblemShape(s=4, r=2, t=6, m=1, n=3, N=8), None),
-    (ProblemShape(s=4, r=4, t=4, m=2, n=2, N=11), CodeParams(1, 3)),
+# K = 4 with N - K even; K = 3 with N - K odd; K = 4 with N - K odd.
+SHAPES = (
+    ProblemShape(s=4, r=4, t=4, m=2, n=2, N=12),
+    ProblemShape(s=4, r=2, t=6, m=1, n=3, N=8),
+    ProblemShape(s=4, r=4, t=4, m=2, n=2, N=11),
 )
 SHAPE12 = ProblemShape(s=8, r=8, t=8, m=2, n=2, N=12)
 BIG = FieldCtx()
@@ -38,7 +37,7 @@ def entrywise_reference(scheme, results, shares, shape, t):
     x_of = {s.worker_id: s.x for s in shares}
     xs = [x_of[r.worker_id] for r in ordered]
     k = scheme.required_results(shape)
-    exps = (scheme.params or CodeParams.default(shape.m)).exponents(shape.m, shape.n)
+    exps = {(j, kk): j + kk * shape.m for j in range(shape.m) for kk in range(shape.n)}
     values = [r.c_tilde.data.tolist() for r in ordered]
     br, bc = shape.block_rows, shape.block_cols
     grids = {jk: [[0] * bc for _ in range(br)] for jk in exps}
@@ -117,15 +116,14 @@ def instance(scheme, shape, rng):
 
 @settings(deadline=None, max_examples=300)
 @given(
-    case=st.sampled_from(CASES),
+    shape=st.sampled_from(SHAPES),
     ctx=st.sampled_from(FIELDS),
     pattern=st.sampled_from(PATTERNS),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_matches_entrywise_reference(case, ctx, pattern, seed, data):
-    shape, params = case
-    scheme = PolyScheme(ctx, params=params)
+def test_matches_entrywise_reference(shape, ctx, pattern, seed, data):
+    scheme = PolyScheme(ctx)
     k = scheme.required_results(shape)
     radius = (shape.N - k) // 2
     max_errors = data.draw(st.one_of(st.none(), st.integers(0, radius)), label="max_errors")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from polycode.errors import (
     DuplicateEvaluationPoint,
-    InvalidCodeParams,
     InvalidGrid,
     NonDivisibleGroups,
     NotDecodable,
@@ -21,7 +20,6 @@ from polycode.field import FieldCtx, invert_matrix
 from polycode.matrixcore import FMatrix, ProblemShape, transpose_mul
 from polycode.schemes import (
     SCHEME_NAMES,
-    CodeParams,
     Mds1dScheme,
     PolyScheme,
     ProductScheme,
@@ -50,27 +48,6 @@ def make_instance(shape, ctx, seed=0):
 def all_results(scheme, a, b, shape):
     shares = scheme.encode(a, b, shape)
     return shares, [worker_compute(s) for s in shares]
-
-
-class TestCodeParams:
-    def test_default_is_one_m(self):
-        assert CodeParams.default(3) == CodeParams(1, 3)
-
-    @pytest.mark.parametrize("m", range(1, 33))
-    @pytest.mark.parametrize("n", (1, 2, 17, 32))
-    def test_one_m_and_n_one_always_valid(self, m, n):
-        CodeParams(1, m).validate(m, n)
-        CodeParams(n, 1).validate(m, n)
-
-    def test_collision_rejected(self):
-        for m, n in ((2, 2), (3, 5), (32, 32)):
-            with pytest.raises(InvalidCodeParams):
-                CodeParams(1, 1).validate(m, n)
-        CodeParams(1, 1).validate(1, 5)
-        CodeParams(1, 1).validate(5, 1)
-
-    def test_degree_default(self):
-        assert CodeParams.default(4).degree(4, 3) == 4 * 3 - 1
 
 
 class TestPolyScheme:
@@ -132,14 +109,6 @@ class TestPolyScheme:
         shuffled = [results[i] for i in (4, 0, 2, 1, 3)]
         assert scheme.decode(shuffled, shares, self.shape5) == base
 
-    def test_custom_points_and_duplicates(self):
-        a, b, oracle = make_instance(self.shape5, F7)
-        scheme = PolyScheme(F7, points=[2, 3, 4, 5, 6])
-        shares, results = all_results(scheme, a, b, self.shape5)
-        assert scheme.decode(results, shares, self.shape5) == oracle
-        with pytest.raises(DuplicateEvaluationPoint):
-            PolyScheme(F7, points=[1, 1, 2, 3, 4]).encode(a, b, self.shape5)
-
     def test_duplicate_points_among_results(self):
         a, b, _ = make_instance(self.shape5, F7)
         scheme = PolyScheme(F7)
@@ -153,14 +122,6 @@ class TestPolyScheme:
         a, b, _ = make_instance(shape, F7)
         with pytest.raises(TooManyWorkersForField):
             PolyScheme(F7).encode(a, b, shape)
-
-    def test_general_alpha_beta_decodes(self):
-        shape = ProblemShape(s=6, r=6, t=4, m=3, n=2, N=10)
-        a, b, oracle = make_instance(shape, BIG)
-        scheme = PolyScheme(BIG, params=CodeParams(2, 1))
-        scheme.params.validate(3, 2)
-        shares, results = all_results(scheme, a, b, shape)
-        assert scheme.decode(results, shares, shape) == oracle
 
 
 class TestPolyErrors:
@@ -262,26 +223,6 @@ class TestCachedCodes:
         assert _vandermonde([2, 3], [0, 2], F7).tolist() == [[1, 4], [1, 2]]
         assert _vandermonde([2, 3], [0, 1, 2], FieldCtx(5)).tolist() == [[1, 2, 4], [1, 3, 4]]
         assert _vandermonde(np.array([2, 3]), range(3), F7) is _vandermonde([2, 3], [0, 1, 2], F7)
-
-    def test_code_params_checked_once_per_shape(self, monkeypatch):
-        calls = []
-        exponents = CodeParams.exponents
-
-        def counted(self, m, n):
-            calls.append((m, n))
-            return exponents(self, m, n)
-
-        monkeypatch.setattr(CodeParams, "exponents", counted)
-        scheme = PolyScheme(BIG, params=CodeParams(1, 7))
-        shape = ProblemShape(s=8, r=6, t=4, m=3, n=2, N=12)
-        for used in range(1, 13):
-            scheme.decodable(range(used), shape)
-        assert len(calls) <= 1
-
-    def test_a_colliding_pair_is_rejected_every_time(self):
-        for _ in range(2):
-            with pytest.raises(InvalidCodeParams):
-                CodeParams(1, 1).validate(2, 2)
 
 
 class TestComputeShares:

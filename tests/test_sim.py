@@ -155,6 +155,15 @@ class TestSchemeLatency:
             assert batch(scheme, shape, full[:, :1]) is NeverDecodable
             assert batch(scheme, shape, full[:, : shape.N]) is not NeverDecodable
 
+    def test_poly_below_its_threshold_never_decodes(self):
+        # N = 3 workers cannot give the mn = 4 results poly needs: both paths
+        # raise NeverDecodable.
+        shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=3)
+        scheme = get_scheme("poly", BIG)
+        samples = sample_latency(LatencyModel(), shape.N, seed=6, trials=8)
+        assert batch(scheme, shape, samples) is NeverDecodable
+        assert per_row(scheme, shape, samples) is NeverDecodable
+
     def test_batch_asks_the_scheme_for_its_latency_rule(self):
         # A scheme outside the four is its class alone: the batch path pads
         # missing workers with +inf and hands the grid to its `latency`.

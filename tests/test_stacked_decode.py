@@ -23,7 +23,6 @@ from polycode.field import FieldCtx, invert_matrix, lagrange_weight_matrix
 from polycode.matrixcore import FMatrix, ProblemShape, assemble_blocks, combine, transpose_mul
 from polycode.schemes import (
     SCHEME_NAMES,
-    CodeParams,
     PolyScheme,
     ProductScheme,
     WorkerResult,
@@ -78,12 +77,10 @@ def reference_decode(scheme, results, shares, shape):
     if not scheme.decodable(cells, shape):
         raise NotEnoughResults("not decodable")
     if scheme.name == "poly":
-        params = scheme.params or CodeParams.default(m)
-        picked = sorted(cells)[: params.degree(m, n) + 1]
+        picked = sorted(cells)[: m * n]
         x_of = {s.worker_id: s.x for s in shares}
         weights = lagrange_weight_matrix([x_of[i] for i in picked], ctx)
-        exps = params.exponents(m, n)
-        coeffs = combine([weights[exps[(j, k)]] for j in range(m) for k in range(n)],
+        coeffs = combine([weights[j + k * m] for j in range(m) for k in range(n)],
                          [cells[i] for i in picked])
         grid = [coeffs[j * n : (j + 1) * n] for j in range(m)]
     elif scheme.name == "mds1d":
@@ -110,14 +107,8 @@ def cases(draw):
     n = m if name == "product" else draw(st.integers(1, 3).filter(lambda v: v != m), label="n")
     br = draw(st.integers(1, 3), label="block_rows")
     bc = draw(st.integers(1, 4).filter(lambda v: v != br), label="block_cols")
-    params = None
     if name == "poly":
-        # Exponents (1, m + 1) leave gaps, so the weight rows are a selection.
-        params = draw(st.sampled_from((None, CodeParams(1, m + 1))), label="params")
-        if params is not None and params.degree(m, n) >= ctx.q:
-            params = None
-        k = (params or CodeParams.default(m)).degree(m, n) + 1
-        big_n = draw(st.integers(k, min(k + 3, ctx.q)), label="N")
+        big_n = draw(st.integers(m * n, min(m * n + 3, ctx.q)), label="N")
     elif name == "mds1d":
         big_n = n * draw(st.integers(m, min(m + 3, ctx.q)), label="group_size")
     elif name == "product":
@@ -126,7 +117,7 @@ def cases(draw):
         big_n = m * n + draw(st.integers(0, 2), label="spare")
     r, t = m * br, n * bc
     shape = ProblemShape(s=max(r, t), r=r, t=t, m=m, n=n, N=big_n)
-    scheme = PolyScheme(ctx, params=params) if name == "poly" else get_scheme(name, ctx)
+    scheme = get_scheme(name, ctx)
     return scheme, shape
 
 
