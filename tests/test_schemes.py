@@ -50,8 +50,43 @@ def all_results(scheme, a, b, shape):
     return shares, [worker_compute(s) for s in shares]
 
 
+class TestCodeParams:
+    """The code's fixed parameters: A block j at degree j, B block k at
+    degree k m (exponents (1, m)), at the points 0..N-1."""
+
+    def test_default_is_one_m(self):
+        shape = ProblemShape(s=6, r=6, t=4, m=3, n=2, N=8)
+        a_gen, b_gen, layout = PolyScheme(BIG)._layout(shape)
+        for i, _, x in layout:
+            assert x == i
+            assert a_gen[i].tolist() == [pow(x, j, BIG.q) for j in range(3)]
+            assert b_gen[i].tolist() == [pow(x, 3 * k, BIG.q) for k in range(2)]
+
+    @pytest.mark.parametrize("m", range(1, 33))
+    @pytest.mark.parametrize("n", (1, 2, 17, 32))
+    def test_one_m_and_n_one_always_valid(self, m, n):
+        # The product exponents j + k m are 0..mn-1, each once, so any mn of
+        # the N = mn workers decode and fewer do not.
+        assert sorted(j + k * m for j in range(m) for k in range(n)) == list(range(m * n))
+        shape = ProblemShape(s=max(m, n), r=m, t=n, m=m, n=n, N=m * n)
+        scheme = PolyScheme(BIG)
+        scheme.validate(shape)
+        assert scheme.required_results(shape) == m * n
+        assert scheme.decodable(range(m * n), shape)
+        assert not scheme.decodable(range(m * n - 1), shape)
+        a_gen, b_gen, _ = scheme._layout(shape)
+        x = m * n - 1
+        assert a_gen[x].tolist() == [pow(x, j, BIG.q) for j in range(m)]
+        assert b_gen[x].tolist() == [pow(x, k * m, BIG.q) for k in range(n)]
+
+    def test_degree_default(self):
+        shape = ProblemShape(s=8, r=4, t=3, m=4, n=3, N=12)
+        assert PolyScheme(BIG).required_results(shape) == 4 * 3
+        assert PolyScheme(BIG).threshold(shape) == 4 * 3
+
+
 class TestPolyScheme:
-    shape5 = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=5)
+    shape5 =ProblemShape(s=8, r=4, t=4, m=2, n=2, N=5)
 
     def test_worked_example_shares(self):
         # Worker i stores A0 + i*A1 and B0 + i^2*B1 over F_7, points 0..4.
