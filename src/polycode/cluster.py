@@ -4,10 +4,11 @@ The master decodes from the first prefix of the worker results, in completion
 order, that the scheme's decodability predicate accepts. The virtual clock (the
 default, deterministic) orders the workers by sampled time, all known before
 any worker runs. It finds that prefix by bisection, as the predicate is
-monotone, then computes only those workers, with one kernel call. The threads
-clock runs each worker on a joined thread pool that waits out the worker's
-sampled time before computing, measures wall-clock time, and asks the
-predicate at each arrival.
+monotone and needs no shares, then encodes and computes only those workers,
+with one kernel call per input and one for the products. The threads clock
+encodes every share, runs each worker on a joined thread pool that waits out
+the worker's sampled time before computing, measures wall-clock time, and
+asks the predicate at each arrival.
 """
 
 from __future__ import annotations
@@ -157,10 +158,12 @@ def run(
     `plan` draws each worker's completion time from `base_model` (default
     `LatencyModel()`) with `default_rng(seed)`. The master decodes at the
     first decodable prefix of the results in completion order, ties in time
-    broken by worker id. On the virtual clock the times are virtual seconds,
-    only the workers in that prefix compute, and `decode_time` is modeled.
-    On the threads clock each worker runs on a pool thread and waits `time_scale`
-    times its sampled time before computing; every time in the report is then
+    broken by worker id. The inputs are checked (`Scheme.check_inputs`)
+    before any share is encoded. On the virtual clock the times are virtual
+    seconds, only the workers in that prefix are encoded and compute, and
+    `decode_time` is modeled. On the threads clock every share is encoded,
+    and each worker runs on a pool thread and waits `time_scale` times its
+    sampled time before computing; every time in the report is then
     measured, and once the master can decode, workers still waiting return
     without computing. A worker that raises is an erasure. Every thread is
     joined before `run` returns or raises. HarnessTimeout is raised when all
@@ -171,15 +174,15 @@ def run(
     if not 0 <= time_scale < math.inf:
         raise InvalidParameters("time_scale must be finite and >= 0")
     scheme.validate(shape)
+    scheme.check_inputs(a, b, shape)
     base_model = base_model or LatencyModel()
     rng = np.random.default_rng(seed)
     # Sample over the full configured N so the straggler pick is comparable
     # across schemes that spawn fewer workers (e.g. uncoded uses only mn).
     times = plan.sample_times(shape.N, rng, base_model)
-    shares = scheme.encode(a, b, shape)
-    worker_times = times[: len(shares)]
+    worker_times = times[: scheme.num_shares(shape)]
     if clock == "virtual":
-        order = sorted(range(len(shares)), key=lambda i: (worker_times[i], i))
+        order = sorted(range(len(worker_times)), key=lambda i: (worker_times[i], i))
         # A superset of a decodable set is decodable, so the prefixes turn
         # decodable at one length: the leftmost whose predicate holds.
         used = 1 + bisect.bisect_left(
@@ -188,9 +191,11 @@ def run(
         if used > len(order):
             raise HarnessTimeout("no decodable response set formed")
         responders = order[:used]
-        results = compute_shares([shares[i] for i in responders])
+        shares = scheme.encode(a, b, shape, responders)
+        results = compute_shares(shares)
         arrival_times = [(i, float(worker_times[i])) for i in responders]
     else:
+        shares = scheme.encode(a, b, shape)
         results, responders, arrival_times = [], [], []
         with closing(_thread_arrivals(shares, worker_times * time_scale)) as arrivals:
             for i, result, fire in arrivals:

@@ -9,6 +9,7 @@ Matrices of field elements are int64 arrays, multiplied exactly by
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -52,6 +53,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def as_int(value, name: str) -> int:
+    """`value` as a Python int, through `operator.index`: ints and numpy
+    integer scalars pass, anything else (floats, strings, None) raises
+    InvalidParameters."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameters(f"{name} must be an integer, got {value!r}") from None
+
+
 class FieldCtx:
     """Arithmetic context for the prime field F_q.
 
@@ -61,6 +72,7 @@ class FieldCtx:
     __slots__ = ("q",)
 
     def __init__(self, q: int = DEFAULT_Q):
+        q = as_int(q, "modulus")
         if q < 2 or not is_prime(q):
             raise InvalidParameters(f"modulus {q} is not prime")
         # Canonical entries and the kernel's intermediate sums must fit in int64.

@@ -26,7 +26,7 @@ from .errors import (
     NonDivisiblePartition,
     ShapeMismatch,
 )
-from .field import FieldCtx
+from .field import FieldCtx, as_int
 
 # Integers up to 2**53 are exact in float64.
 _EXACT_BITS = 53
@@ -197,7 +197,9 @@ class ProblemShape:
     allow_wide: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        if min(self.s, self.r, self.t, self.m, self.n) < 1 or self.N < 1:
+        for name in ("s", "r", "t", "m", "n", "N"):
+            object.__setattr__(self, name, as_int(getattr(self, name), f"shape parameter {name}"))
+        if min(self.s, self.r, self.t, self.m, self.n, self.N) < 1:
             raise InvalidParameters("all shape parameters must be positive")
         if self.r % self.m:
             raise NonDivisiblePartition(f"m={self.m} does not divide r={self.r}")
@@ -265,13 +267,6 @@ def combine(coeffs: list, blocks: list) -> list:
 def lincomb(blocks: list, coeffs: list) -> FMatrix:
     """Entrywise sum of coeffs[j] * blocks[j] over F_q."""
     return combine([coeffs], blocks)[0]
-
-
-def assemble_blocks(grid: list) -> FMatrix:
-    """Stitch a 2-D list of blocks (block row j, block col k) into one matrix."""
-    if not grid or not all(grid):
-        raise EmptyInput("nothing to concatenate")
-    return FMatrix(np.block([[b.data for b in row] for row in grid]), grid[0][0].ctx, _canonical=True)
 
 
 def save_array(values, path, q: int) -> None:

@@ -26,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     TooManyWorkersForField,
 )
-from .field import FieldCtx, bw_decode, invert_matrix, lagrange_weight_matrix
+from .field import FieldCtx, as_int, bw_decode, invert_matrix, lagrange_weight_matrix
 from .matrixcore import (
     FMatrix,
     ProblemShape,
@@ -80,6 +80,17 @@ def compute_shares(shares: list) -> list:
     out = mulmod(a.transpose(0, 2, 1), b, ctx.q)
     return [WorkerResult(sh.worker_id, FMatrix(c, ctx, _canonical=True))
             for sh, c in zip(shares, out)]
+
+
+def _coded_rows(gen, blocks: list, rows: list):
+    """Generator row -> coded block for each of `rows`: one `combine` of the
+    distinct rows of gen with an input's column blocks. With gen None the
+    input is uncoded, and row j is its column block j itself, not an
+    identity product."""
+    if gen is None:
+        return blocks
+    distinct = list(dict.fromkeys(rows))
+    return dict(zip(distinct, combine(gen[distinct], blocks)))
 
 
 def _first_per_worker(results: list) -> dict:
@@ -257,19 +268,36 @@ class Scheme:
         (row of gen_a, row of gen_b, evaluation point or None)."""
         raise NotImplementedError
 
-    def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> list:
+    def check_inputs(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> None:
+        """Raise ShapeMismatch unless A and B live over the scheme's field,
+        and InvalidParameters unless A is s x r and B is s x t."""
+        for name, mat in (("A", a), ("B", b)):
+            if mat.ctx != self.ctx:
+                raise ShapeMismatch(f"{name} lives over F_{mat.ctx.q}, the scheme over F_{self.ctx.q}")
         if a.rows != shape.s or a.cols != shape.r:
             raise InvalidParameters(f"A is {a.rows}x{a.cols}, shape wants {shape.s}x{shape.r}")
         if b.rows != shape.s or b.cols != shape.t:
             raise InvalidParameters(f"B is {b.rows}x{b.cols}, shape wants {shape.s}x{shape.t}")
+
+    def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape, ids=None) -> list:
+        """The shares of the workers `ids` (default: all num_shares), in that
+        order, after `check_inputs`. Each input is one `combine` of just the
+        distinct generator rows those workers hold, so a row that several
+        workers share is built once, and a share's blocks do not depend on
+        which other ids are asked for. An id outside range(num_shares) raises
+        InvalidParameters."""
+        self.check_inputs(a, b, shape)
         gen_a, gen_b, placement = self._layout(shape)
-        a_blocks, b_blocks = split_cols(a, shape.m), split_cols(b, shape.n)
-        # An uncoded input is its column blocks themselves, not an identity product.
-        a_coded = a_blocks if gen_a is None else combine(gen_a, a_blocks)
-        b_coded = b_blocks if gen_b is None else combine(gen_b, b_blocks)
+        total = len(placement)
+        ids = range(total) if ids is None else [as_int(i, "worker id") for i in ids]
+        if not all(0 <= i < total for i in ids):
+            raise InvalidParameters(f"worker ids must lie in [0, {total})")
+        held = [placement[i] for i in ids]
+        a_coded = _coded_rows(gen_a, split_cols(a, shape.m), [ja for ja, _, _ in held])
+        b_coded = _coded_rows(gen_b, split_cols(b, shape.n), [kb for _, kb, _ in held])
         return [
             WorkerShare(worker_id=i, a_tilde=a_coded[ja], b_tilde=b_coded[kb], x=x)
-            for i, (ja, kb, x) in enumerate(placement)
+            for i, (ja, kb, x) in zip(ids, held)
         ]
 
     def decodable(self, responded, shape: ProblemShape) -> bool:

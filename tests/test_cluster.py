@@ -13,14 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polycode
-from polycode import cluster, schemes
+from polycode import cluster, matrixcore, schemes
 from polycode.cluster import (
     DECODE_SECONDS_PER_OP,
     StragglerPlan,
     run,
     run_with_faults,
 )
-from polycode.errors import DecodingFailure, HarnessTimeout, InvalidParameters
+from polycode.errors import DecodingFailure, HarnessTimeout, InvalidParameters, ShapeMismatch
 from polycode.field import FieldCtx
 from polycode.matrixcore import FMatrix, ProblemShape, transpose_mul
 from polycode.schemes import SCHEME_NAMES, Mds1dScheme, PolyScheme, UncodedScheme, get_scheme
@@ -171,6 +171,8 @@ def linear_cut(scheme, shape, times):
 
 
 class TestVirtualCut:
+    DELAYS = (5, 1, 1, 7, 2, 0, 3, 3, 9, 4, 4, 6, 8, 2, 5, 1)
+
     @settings(deadline=None, max_examples=150)
     @given(case=scheme_shapes(), data=st.data())
     def test_cut_equals_a_scan_of_every_arrival(self, case, data):
@@ -211,12 +213,37 @@ class TestVirtualCut:
         monkeypatch.setattr(cluster, "compute_shares", tracked)
         monkeypatch.setattr(cluster, "worker_compute", forbidden)
         a, b, oracle = make_instance(shape)
-        delays = (5, 1, 1, 7, 2, 0, 3, 3, 9, 4, 4, 6, 8, 2, 5, 1)
-        plan = StragglerPlan(mode="per_worker", delays=tuple(map(float, delays)))
+        plan = StragglerPlan(mode="per_worker", delays=tuple(map(float, self.DELAYS)))
         c, rep = run(get_scheme(name, BIG), a, b, shape, plan=plan)
         assert c == oracle
         assert log.batches == [rep.responders]
         assert log.kernel_in_batch == [1]
+
+    @pytest.mark.parametrize("clock", ("virtual", "threads"))
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_encode_builds_only_the_responders_rows(self, name, clock, monkeypatch):
+        # Poly decodes from the 4 fastest of 16 workers: the virtual clock
+        # builds those 4 rows of each generator, the threads clock all 16.
+        shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=16)
+        scheme = get_scheme(name, BIG)
+        built, combine = [], schemes.combine
+
+        def logged(coeffs, blocks):
+            built.append(sorted(map(tuple, np.asarray(coeffs).tolist())))
+            return combine(coeffs, blocks)
+
+        monkeypatch.setattr(schemes, "combine", logged)
+        a, b, oracle = make_instance(shape)
+        plan = StragglerPlan(mode="per_worker", delays=tuple(map(float, self.DELAYS)))
+        c, rep = run(scheme, a, b, shape, plan=plan, clock=clock, time_scale=0)
+        encoded = rep.responders if clock == "virtual" else range(scheme.num_shares(shape))
+        gen_a, gen_b, placement = scheme._layout(shape)
+        want = [sorted({tuple(gen[placement[i][side]].tolist()) for i in encoded})
+                for side, gen in enumerate((gen_a, gen_b)) if gen is not None]
+        assert c == oracle
+        assert built == want
+        if name == "poly":
+            assert [len(rows) for rows in built] == ([4, 4] if clock == "virtual" else [16, 16])
 
     def test_never_decodable_computes_no_worker(self, monkeypatch):
         class Never(PolyScheme):
@@ -229,6 +256,30 @@ class TestVirtualCut:
         with pytest.raises(HarnessTimeout):
             run(Never(BIG), a, b, SHAPE5)
         assert computed == []
+
+
+class TestInputChecks:
+    SHAPE = ProblemShape(s=4, r=4, t=4, m=2, n=2, N=4)
+
+    @pytest.mark.parametrize("clock", ("virtual", "threads"))
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_bad_inputs_raise_before_the_cut_and_the_kernel(self, name, clock, monkeypatch):
+        f7 = FieldCtx(7)
+        scheme = get_scheme(name, f7)
+        a, b, _ = make_instance(self.SHAPE)
+        a7, b7 = FMatrix(a.data, f7), FMatrix(b.data, f7)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a bad input reached the cut or the kernel")
+
+        monkeypatch.setattr(scheme, "decodable", forbidden)
+        monkeypatch.setattr(schemes, "mulmod", forbidden)
+        monkeypatch.setattr(matrixcore, "mulmod", forbidden)
+        for pair in ((a, b), (a7, b), (a, b7)):
+            with pytest.raises(ShapeMismatch):
+                run(scheme, *pair, self.SHAPE, clock=clock, time_scale=0)
+        with pytest.raises(InvalidParameters):
+            run(scheme, FMatrix(a7.data[:, :2], f7), b7, self.SHAPE, clock=clock, time_scale=0)
 
 
 class TestThreadsClock:

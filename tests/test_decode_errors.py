@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockgrid import assemble_blocks
 from polycode import schemes
 from polycode.errors import DecodingFailure, InvalidParameters, PolycodeError, ShapeMismatch
 from polycode.field import FieldCtx, bw_decode
-from polycode.matrixcore import FMatrix, ProblemShape, assemble_blocks, transpose_mul
+from polycode.matrixcore import FMatrix, ProblemShape, transpose_mul
 from polycode.schemes import PolyScheme, WorkerResult, worker_compute
 
 FIELDS = (FieldCtx(257), FieldCtx(2**31 - 1), FieldCtx(2**61 - 1))

@@ -50,6 +50,17 @@ class TestFieldCtx:
             FieldCtx(2**62 + 135)
         assert FieldCtx(2**62 - 57).q == 2**62 - 57
 
+    @pytest.mark.parametrize("bad", (7.0, 7.5, "7", None, [7]))
+    def test_rejects_a_modulus_that_is_not_an_integer(self, bad):
+        with pytest.raises(InvalidParameters):
+            FieldCtx(bad)
+
+    @pytest.mark.parametrize("q", (np.int64(7), np.uint32(7), np.int8(7)))
+    def test_numpy_integer_modulus_is_stored_as_an_int(self, q):
+        ctx = FieldCtx(q)
+        assert type(ctx.q) is int
+        assert ctx == FieldCtx(7) and hash(ctx) == hash(FieldCtx(7))
+
     def test_is_prime_small(self):
         primes = {2, 3, 5, 7, 11, 13, 2147483647}
         for n in list(primes) + [15, 21, 25, 561, 2147483647 + 2]:

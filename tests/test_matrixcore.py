@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockgrid import assemble_blocks
 from polycode.errors import (
     EmptyInput,
     InvalidParameters,
@@ -11,7 +12,6 @@ from polycode.field import FieldCtx
 from polycode.matrixcore import (
     FMatrix,
     ProblemShape,
-    assemble_blocks,
     lincomb,
     load_matrix,
     save_matrix,
@@ -52,6 +52,21 @@ class TestProblemShape:
             ProblemShape(s=2, r=4, t=4, m=2, n=2, N=5)
         with pytest.warns(UserWarning):
             ProblemShape(s=2, r=4, t=4, m=2, n=2, N=5, allow_wide=True)
+
+
+    @pytest.mark.parametrize("name", ("s", "r", "t", "m", "n", "N"))
+    @pytest.mark.parametrize("kind", (float, str, lambda v: None), ids=("float", "str", "none"))
+    def test_parameters_must_be_integers(self, name, kind):
+        args = dict(s=8, r=8, t=8, m=2, n=2, N=6)
+        args[name] = kind(args[name])
+        with pytest.raises(InvalidParameters):
+            ProblemShape(**args)
+
+    def test_numpy_integer_parameters_are_stored_as_ints(self):
+        args = dict(s=8, r=8, t=8, m=2, n=2, N=6)
+        shape = ProblemShape(**{k: np.int64(v) for k, v in args.items()})
+        assert all(type(getattr(shape, k)) is int for k in args)
+        assert shape == ProblemShape(**args) and hash(shape) == hash(ProblemShape(**args))
 
 
 class TestSplitCols:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polycode.errors import (
     DuplicateEvaluationPoint,
     InvalidGrid,
+    InvalidParameters,
     NonDivisibleGroups,
     NotDecodable,
     NotEnoughResults,
@@ -311,6 +312,48 @@ class TestComputeShares:
         for bad in cases:
             with pytest.raises(ShapeMismatch):
                 compute_shares([self._shares()[0], bad])
+
+
+class TestSubsetEncode:
+    SHAPES = TestComputeShares.SHAPES
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        name=st.sampled_from(SCHEME_NAMES),
+        ctx=st.sampled_from((F7, BIG, FieldCtx(2**61 - 1))),
+        data=st.data(),
+    )
+    def test_equals_the_full_encode_at_the_ids(self, name, ctx, data):
+        shape = self.SHAPES[name]
+        scheme = get_scheme(name, ctx)
+        a, b, _ = make_instance(shape, ctx, seed=data.draw(st.integers(0, 99)))
+        full = scheme.encode(a, b, shape)
+        subset = data.draw(st.sets(st.integers(0, len(full) - 1)))
+        ids = data.draw(st.permutations(sorted(subset)))
+        shares = scheme.encode(a, b, shape, ids)
+        assert [sh.worker_id for sh in shares] == ids
+        for sh, want in zip(shares, [full[i] for i in ids]):
+            assert sh.a_tilde == want.a_tilde and sh.b_tilde == want.b_tilde
+            assert sh.x == want.x
+
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_ids_of_no_worker_raise(self, name):
+        shape = self.SHAPES[name]
+        scheme = get_scheme(name, BIG)
+        a, b, _ = make_instance(shape, BIG)
+        total = scheme.num_shares(shape)
+        for ids in ([-1], [total], [0, total + 3], [1.0]):
+            with pytest.raises(InvalidParameters):
+                scheme.encode(a, b, shape, ids)
+
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_inputs_over_another_field_raise(self, name):
+        shape = self.SHAPES[name]
+        a, b, _ = make_instance(shape, BIG)
+        a7, b7 = FMatrix(a.data, F7), FMatrix(b.data, F7)
+        for pair in ((a, b), (a7, b), (a, b7)):
+            with pytest.raises(ShapeMismatch):
+                get_scheme(name, F7).encode(*pair, shape)
 
 
 class TestMds1d:

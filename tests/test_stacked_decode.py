@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockgrid import assemble_blocks
 from polycode import schemes
 from polycode.convolution import conv_decode, conv_direct, conv_encode, conv_worker_compute
 from polycode.errors import DuplicateEvaluationPoint, NotEnoughResults
 from polycode.field import FieldCtx, invert_matrix, lagrange_weight_matrix
-from polycode.matrixcore import FMatrix, ProblemShape, assemble_blocks, combine, transpose_mul
+from polycode.matrixcore import FMatrix, ProblemShape, combine, transpose_mul
 from polycode.schemes import (
     SCHEME_NAMES,
     PolyScheme,
