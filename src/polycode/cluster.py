@@ -1,19 +1,19 @@
 """In-process master/worker harness with straggler injection.
 
 The master decodes from the first prefix of the worker results, in completion
-order, that the scheme's decodability predicate accepts. The virtual clock (the
+order, that the scheme's recovery rule accepts. The virtual clock (the
 default, deterministic) orders the workers by sampled time, all known before
-any worker runs. It finds that prefix by bisection, as the predicate is
-monotone and needs no shares, then encodes and computes only those workers,
-with one kernel call per input and one for the products. The threads clock
-encodes every share, runs each worker on a joined thread pool that waits out
-the worker's sampled time before computing, measures wall-clock time, and
-asks the predicate at each arrival.
+any worker runs. One call of the scheme's `latency`, with each worker's place
+in that order as its time, gives the length of that prefix without any share;
+then only those workers are encoded and computed, with one kernel call per
+input and one for the products. The threads clock encodes every share, runs
+each worker on a joined thread pool that waits out the worker's sampled time
+before computing, measures wall-clock time, and asks `decodable` at each
+arrival.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import threading
@@ -51,13 +51,17 @@ class StragglerPlan:
     def __post_init__(self):
         if self.mode not in ("none", "slow_random", "per_worker"):
             raise InvalidParameters(f"unknown straggler plan mode {self.mode!r}")
-        # `not a <= v < inf` also rejects NaN.
-        if not 1 <= self.factor < math.inf:
-            raise InvalidParameters("slowdown factor must be finite and >= 1")
-        if self.mode == "per_worker" and (
-            self.delays is None or not all(0 <= d < math.inf for d in self.delays)
-        ):
-            raise InvalidParameters("per_worker plan needs finite nonnegative delays")
+        # `not a <= v < inf` also rejects NaN, and raises TypeError for a
+        # value that is not a real number.
+        try:
+            if not 1 <= self.factor < math.inf:
+                raise InvalidParameters("slowdown factor must be finite and >= 1")
+            if self.mode == "per_worker" and (
+                self.delays is None or not all(0 <= d < math.inf for d in self.delays)
+            ):
+                raise InvalidParameters("per_worker plan needs finite nonnegative delays")
+        except TypeError:
+            raise InvalidParameters("straggler plan parameters must be real numbers") from None
 
     def sample_times(self, n: int, rng: np.random.Generator, base_model: LatencyModel) -> np.ndarray:
         if self.mode == "per_worker":
@@ -182,15 +186,15 @@ def run(
     times = plan.sample_times(shape.N, rng, base_model)
     worker_times = times[: scheme.num_shares(shape)]
     if clock == "virtual":
-        order = sorted(range(len(worker_times)), key=lambda i: (worker_times[i], i))
-        # A superset of a decodable set is decodable, so the prefixes turn
-        # decodable at one length: the leftmost whose predicate holds.
-        used = 1 + bisect.bisect_left(
-            range(1, len(order) + 1), True, key=lambda n: scheme.decodable(order[:n], shape)
-        )
-        if used > len(order):
+        order = np.argsort(worker_times, kind="stable")  # ties by worker id
+        # With its place in the order as each worker's time, the recovery
+        # rule returns the place of the last worker the master needs.
+        place = np.empty(len(order))
+        place[order] = np.arange(len(order))
+        last = scheme.latency(place[None], shape)[0]
+        if last == math.inf:
             raise HarnessTimeout("no decodable response set formed")
-        responders = order[:used]
+        responders = order[: int(last) + 1].tolist()
         shares = scheme.encode(a, b, shape, responders)
         results = compute_shares(shares)
         arrival_times = [(i, float(worker_times[i])) for i in responders]

@@ -335,8 +335,12 @@ def embed_reals(values, precision_bits: int, ctx: FieldCtx):
     half = ctx.q // 2
     # The largest float <= half; float(half) itself may round above it.
     limit = float(half) if int(float(half)) <= half else np.nextafter(float(half), 0)
+    try:
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameters("embed_reals takes real numbers") from None
     with np.errstate(over="ignore"):
-        scaled = np.rint(np.asarray(values, dtype=float) * float(1 << precision_bits))
+        scaled = np.rint(values * float(1 << precision_bits))
     fits = np.abs(scaled) <= limit
     if not fits.all():
         raise RangeOverflow(f"scaled value {scaled[~fits][0]:.0f} exceeds field half-range {half}")

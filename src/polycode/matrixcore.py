@@ -44,7 +44,10 @@ def canonical(values, q: int) -> np.ndarray:
     kind, size = arr.dtype.kind, arr.dtype.itemsize
     if kind in "bi" or (kind == "u" and size < 8):
         return np.mod(arr.astype(np.int64), q)
-    flat = [int(v) % q for v in arr.reshape(-1)]
+    try:
+        flat = [int(v) % q for v in arr.reshape(-1)]
+    except (ValueError, OverflowError):
+        raise InvalidParameters("field entries must be finite numbers") from None
     return np.array(flat, dtype=np.int64).reshape(arr.shape)
 
 

@@ -4,7 +4,11 @@ Each scheme exposes encode / decodable / latency / decode / threshold, and
 differs from the others only in its generators, its placement, its solve and
 its recovery rule. Encoding yields one WorkerShare per logical worker; each
 worker computes the block product of its two stored matrices; the master
-decodes once the responded set satisfies the scheme's decodability predicate.
+decodes once the responded set satisfies the scheme's recovery rule.
+
+Each scheme states its recovery rule once, in `latency`: the earliest time at
+which the workers done by then let the master decode. `decodable` is that rule
+on one trial whose responded workers answer at time 0 and the others never.
 """
 
 from __future__ import annotations
@@ -248,8 +252,9 @@ class Scheme:
     kept blocks' arrays to `_solve`. `_solve` returns the m*n output blocks as
     one array, a flattened block per row in (j, k) order, built with one
     `mulmod` per group batch or peeled line from coefficients cached per
-    erasure pattern; one reshape turns it into the output. `latency` is
-    `_decodable`'s rule on a batch of trials.
+    erasure pattern; one reshape turns it into the output. `latency` is the
+    recovery rule, stated on a batch of trials, and the only statement of
+    it: `decodable`, the harness's cut and the simulator all ask it.
     """
 
     name: str = ""
@@ -302,17 +307,19 @@ class Scheme:
 
     def decodable(self, responded, shape: ProblemShape) -> bool:
         """Whether the blocks of the `responded` worker ids determine the
-        product. Ids outside range(num_shares) belong to no worker and are
-        ignored."""
+        product: `latency` is finite on the trial in which they answer at
+        time 0 and no other worker ever does. Ids outside range(num_shares)
+        belong to no worker and are ignored."""
         total = self.num_shares(shape)
-        return self._decodable({i for i in responded if 0 <= i < total}, shape)
-
-    def _decodable(self, ids: set, shape: ProblemShape) -> bool:
-        raise NotImplementedError
+        times = np.full((1, total), math.inf)
+        times.put([i for i in responded if 0 <= i < total], 0.0)
+        return bool(self.latency(times, shape)[0] < math.inf)
 
     def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
-        """Each trial's earliest decodable time (+inf: never) from a (trials,
-        num_shares) array of completion times, +inf for a worker that never answers."""
+        """The recovery rule: each trial's earliest time at which the workers
+        done by then are decodable (+inf: never), from a (trials, num_shares)
+        array of completion times, +inf for a worker that never answers. A
+        superset of a decodable set is decodable."""
         raise NotImplementedError
 
     def _select(self, results: list, shares: list, shape: ProblemShape) -> dict:
@@ -374,9 +381,6 @@ class PolyScheme(Scheme):
         a_gen = _vandermonde(pts, range(shape.m), self.ctx)
         b_gen = _vandermonde(pts, [k * shape.m for k in range(shape.n)], self.ctx)
         return a_gen, b_gen, [(i, i, x) for i, x in enumerate(pts)]
-
-    def _decodable(self, ids: set, shape: ProblemShape) -> bool:
-        return len(ids) >= self.required_results(shape)
 
     def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
         k = self.required_results(shape)  # fewer workers than K never decode
@@ -458,13 +462,6 @@ class Mds1dScheme(Scheme):
         gen = systematic_generator(g, shape.m, self.ctx)
         return gen, None, [(i % g, i // g, None) for i in range(shape.N)]
 
-    def _decodable(self, ids: set, shape: ProblemShape) -> bool:
-        g = self.group_size(shape)
-        counts = [0] * shape.n
-        for i in ids:
-            counts[i // g] += 1
-        return all(c >= shape.m for c in counts)
-
     def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
         groups = times.reshape(times.shape[0], shape.n, self.group_size(shape))
         # each group needs its m-th fastest; the slowest group gates the decode
@@ -515,15 +512,14 @@ class ProductScheme(Scheme):
         gen = systematic_generator(side, shape.m, self.ctx)
         return gen, gen, [(i % side, i // side, None) for i in range(shape.N)]
 
-    def _peel_known(self, responded: set, side: int, m: int) -> tuple:
-        """Workers whose cells are derivable from the responded set by
-        row/column peeling, and the schedule that derives them.
+    def _peel_known(self, responded: set, side: int, m: int) -> list:
+        """The schedule of row/column peeling from the responded set: each
+        line that gains cells, in order, as the range of its `side` worker
+        ids; position j of a line is coded by generator row j.
 
         Worker i holds cell divmod(i, side). A row (or column) with at least m
         known cells decodes fully; completed lines are propagated with a work
-        queue, O(side^2) overall. The schedule lists, in order, each line that
-        gained cells, as the range of its `side` worker ids: position j of a
-        line is coded by generator row j.
+        queue, O(side^2) overall.
         """
         known = set(responded)
         row_count = [0] * side
@@ -552,12 +548,7 @@ class ProductScheme(Scheme):
                     stack.append(range(r * side, (r + 1) * side))
                 if col_count[c] == m:
                     stack.append(range(c, side * side, side))
-        return known, order
-
-    def _decodable(self, ids: set, shape: ProblemShape) -> bool:
-        side = self.grid_side(shape)
-        known, _ = self._peel_known(ids, side, shape.m)
-        return all(r * side + c in known for r in range(shape.m) for c in range(shape.m))
+        return order
 
     def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
         """Per trial, the time at which peeling first recovers the systematic cells.
@@ -565,8 +556,8 @@ class ProductScheme(Scheme):
         A cell is known at the earliest of its own arrival and the m-th
         smallest known time in its row or in its column. The answer is the
         largest grid below the arrival times that this rule fixes: the time
-        at which `_peel_known` on the workers done by then first holds each
-        cell.
+        at which row/column peeling from the workers done by then first
+        holds each cell.
 
         Steps alternate, a row step then a column step, each lowering every
         cell to at most the m-th smallest of its line; transposing the grid
@@ -574,7 +565,8 @@ class ProductScheme(Scheme):
         leaves each line's m-th smallest unchanged and no cell above it. So
         from the second step on, a trial whose step lowered nothing is fixed
         by both steps; its answer is written and it leaves the live set. A
-        quiet first step proves nothing, as the columns were never stepped.
+        quiet first step proves nothing, as the columns were never stepped,
+        so the first step checks nothing.
 
         Exactness: both steps are monotone, and the greatest fixed point G
         below the arrivals is fixed by each, so no order of steps from the
@@ -584,16 +576,18 @@ class ProductScheme(Scheme):
         """
         side, m = self.grid_side(shape), shape.m
         grid = np.array(times, dtype=float).reshape(-1, side, side)  # lowered in place
+        np.minimum(grid, np.partition(grid, m - 1, axis=2)[:, :, m - 1, None], out=grid)
+        grid = grid.transpose(0, 2, 1)
         out = np.empty(len(grid))
         live = np.arange(len(grid))
-        first = True
         while live.size:
             kth = np.partition(grid, m - 1, axis=2)[:, :, m - 1, None]
-            moved = (kth < grid).any(axis=(1, 2)) | first
+            moved = (kth < grid).any(axis=(1, 2))
             np.minimum(grid, kth, out=grid)
-            grid, first = grid.transpose(0, 2, 1), False
-            out[live[~moved]] = grid[~moved, :m, :m].max(axis=(1, 2))
-            grid, live = grid[moved], live[moved]
+            grid = grid.transpose(0, 2, 1)
+            if not moved.all():
+                out[live[~moved]] = grid[~moved, :m, :m].max(axis=(1, 2))
+                grid, live = grid[moved], live[moved]
         return out
 
     def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
@@ -606,7 +600,7 @@ class ProductScheme(Scheme):
         known = set(ids)
         # Replay the peeling schedule: each line's missing cells are one
         # product of its cached coefficients with its first m known cells.
-        for line in self._peel_known(known, side, m)[1]:
+        for line in self._peel_known(known, side, m):
             have = tuple(j for j, i in enumerate(line) if i in known)[:m]
             want = tuple(j for j, i in enumerate(line) if i not in known)
             rows = work[line.start : line.stop : line.step]
@@ -640,9 +634,6 @@ class UncodedScheme(Scheme):
     def _layout(self, shape: ProblemShape) -> tuple:
         n = shape.n
         return None, None, [(i // n, i % n, None) for i in range(shape.m * n)]
-
-    def _decodable(self, ids: set, shape: ProblemShape) -> bool:
-        return len(ids) == shape.m * shape.n
 
     def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
         return times.max(axis=1)

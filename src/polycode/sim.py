@@ -1,9 +1,10 @@
 """Monte-Carlo latency and communication analysis.
 
 Worker completion times are sampled iid from a pluggable model. A scheme's
-latency on one sample is the stopping time of its decodability predicate over
-the arrival order (`scheme_latency`), and on a batch its own `latency` rule.
-Latency excludes decoding (the harness reports decode overhead separately).
+latency on a batch of samples is its own recovery rule, `Scheme.latency`
+(`scheme_latency_batch`), and on one sample that rule on a batch of one
+(`scheme_latency`). Latency excludes decoding (the harness reports decode
+overhead separately).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DominanceViolation, InvalidModelParams, InvalidParameters, NeverDecodable, ShapeMismatch
-from .field import FieldCtx
+from .field import FieldCtx, as_int
 from .matrixcore import ProblemShape
 from .schemes import Scheme, get_scheme
 
@@ -32,18 +33,22 @@ class LatencyModel:
     samples: tuple = ()
 
     def __post_init__(self):
-        # Parameters must be finite; `not 0 <= v < inf` also rejects NaN.
-        if self.kind == "shifted_exponential":
-            if not (0 <= self.shift < math.inf and 0 < self.rate < math.inf):
-                raise InvalidModelParams("need shift >= 0 and rate > 0")
-        elif self.kind == "deterministic":
-            if not 0 <= self.value < math.inf:
-                raise InvalidModelParams("deterministic time must be >= 0")
-        elif self.kind == "empirical":
-            if not self.samples or not all(0 <= s < math.inf for s in self.samples):
-                raise InvalidModelParams("empirical model needs nonnegative samples")
-        else:
-            raise InvalidModelParams(f"unknown latency model kind {self.kind!r}")
+        # Parameters must be finite; `not 0 <= v < inf` also rejects NaN, and
+        # raises TypeError for a value that is not a real number.
+        try:
+            if self.kind == "shifted_exponential":
+                if not (0 <= self.shift < math.inf and 0 < self.rate < math.inf):
+                    raise InvalidModelParams("need shift >= 0 and rate > 0")
+            elif self.kind == "deterministic":
+                if not 0 <= self.value < math.inf:
+                    raise InvalidModelParams("deterministic time must be >= 0")
+            elif self.kind == "empirical":
+                if not self.samples or not all(0 <= s < math.inf for s in self.samples):
+                    raise InvalidModelParams("empirical model needs nonnegative samples")
+            else:
+                raise InvalidModelParams(f"unknown latency model kind {self.kind!r}")
+        except TypeError:
+            raise InvalidModelParams(f"{self.kind} model parameters must be real numbers") from None
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         """Completion times of the given array size (an int or a shape)."""
@@ -60,37 +65,23 @@ def sample_latency(model: LatencyModel, n: int, seed: int, trials: int) -> np.nd
     One draw of shape (trials, n) reads the generator's stream in the order
     that `trials` draws of n would, so the matrix equals stacking those rows.
     """
-    if trials < 1 or n < 1:
+    if as_int(trials, "trials") < 1 or as_int(n, "n") < 1:
         raise InvalidModelParams("need trials >= 1 and n >= 1")
     return model.sample((trials, n), np.random.default_rng(seed))
 
 
-def _reject_nan(times: np.ndarray) -> None:
-    if np.isnan(times).any():
-        raise InvalidParameters("completion times must not be NaN; +inf means never")
-
-
 def scheme_latency(scheme: Scheme, shape: ProblemShape, times) -> float:
-    """Earliest t at which the responded set {i : T_i <= t} is decodable.
+    """Earliest t at which the responded set {i : T_i <= t} is decodable:
+    `scheme_latency_batch` on the one row `times`.
 
-    A worker with time +inf never answers; a NaN time is rejected.
+    A worker with time +inf never answers; a NaN time is rejected, and
+    `times` that are not one row raise ShapeMismatch.
     """
-    times = np.asarray(times, dtype=float)
-    _reject_nan(times)
-    active = min(len(times), scheme.num_shares(shape))
-    order = sorted(range(active), key=lambda i: (times[i], i))
-    responded = set()
-    for i in order:
-        if times[i] == math.inf:
-            break
-        responded.add(i)
-        if scheme.decodable(responded, shape):
-            return float(times[i])
-    raise NeverDecodable(f"{scheme.name} cannot decode even with all workers")
+    return float(scheme_latency_batch(scheme, shape, np.asarray(times, dtype=float)[None])[0])
 
 
 def scheme_latency_batch(scheme: Scheme, shape: ProblemShape, samples: np.ndarray) -> np.ndarray:
-    """Per-trial latencies, equal to `scheme_latency` on each row of samples.
+    """Per-trial latencies: the scheme's recovery rule, `Scheme.latency`.
 
     `samples` is a (trials, workers) array. Workers past the last column
     never answer (+inf), and a NaN time is rejected. NeverDecodable is
@@ -99,7 +90,8 @@ def scheme_latency_batch(scheme: Scheme, shape: ProblemShape, samples: np.ndarra
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ShapeMismatch(f"samples must be a (trials, workers) array, got shape {samples.shape}")
-    _reject_nan(samples)
+    if np.isnan(samples).any():
+        raise InvalidParameters("completion times must not be NaN; +inf means never")
     active = scheme.num_shares(shape)
     samples = samples[:, :active]
     if samples.shape[1] < active:

@@ -25,6 +25,7 @@ from polycode.field import FieldCtx
 from polycode.matrixcore import FMatrix, ProblemShape, transpose_mul
 from polycode.schemes import SCHEME_NAMES, Mds1dScheme, PolyScheme, UncodedScheme, get_scheme
 from polycode.sim import LatencyModel
+from recovery import arrival_cut
 
 BIG = FieldCtx()
 
@@ -160,16 +161,6 @@ def scheme_shapes(draw):
     return name, ProblemShape(s=s, r=r, t=t, m=m, n=n, N=big_n)
 
 
-def linear_cut(scheme, shape, times):
-    """The reference master: workers in (time, id) order, asking the
-    predicate at every arrival."""
-    order = sorted(range(scheme.num_shares(shape)), key=lambda i: (times[i], i))
-    for used in range(1, len(order) + 1):
-        if scheme.decodable(order[:used], shape):
-            return order[:used]
-    raise AssertionError("all workers together must be decodable")
-
-
 class TestVirtualCut:
     DELAYS = (5, 1, 1, 7, 2, 0, 3, 3, 9, 4, 4, 6, 8, 2, 5, 1)
 
@@ -183,7 +174,7 @@ class TestVirtualCut:
         a, b, oracle = make_instance(shape, seed=len(delays))
         plan = StragglerPlan(mode="per_worker", delays=tuple(float(d) for d in delays))
         c, rep = run(scheme, a, b, shape, plan=plan)
-        want = linear_cut(scheme, shape, delays)
+        want = arrival_cut(name, shape, delays)
         assert rep.responders == want
         assert rep.arrival_times == [(i, float(delays[i])) for i in want]
         assert rep.wall_latency == delays[want[-1]] + rep.decode_time
@@ -246,16 +237,22 @@ class TestVirtualCut:
             assert [len(rows) for rows in built] == ([4, 4] if clock == "virtual" else [16, 16])
 
     def test_never_decodable_computes_no_worker(self, monkeypatch):
+        # The cut is one call of the rule, on the workers' places in order.
         class Never(PolyScheme):
-            def _decodable(self, ids, shape):
-                return False
+            seen = []
+
+            def latency(self, times, shape):
+                self.seen.append(times.tolist())
+                return np.full(len(times), np.inf)
 
         computed = []
         monkeypatch.setattr(cluster, "compute_shares", computed.append)
         a, b, _ = make_instance(SHAPE5)
+        plan = StragglerPlan(mode="per_worker", delays=(3.0, 1.0, 4.0, 1.0, 5.0))
         with pytest.raises(HarnessTimeout):
-            run(Never(BIG), a, b, SHAPE5)
+            run(Never(BIG), a, b, SHAPE5, plan=plan)
         assert computed == []
+        assert Never.seen == [[[2.0, 0.0, 3.0, 1.0, 4.0]]]
 
 
 class TestInputChecks:

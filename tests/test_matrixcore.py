@@ -181,6 +181,13 @@ class TestStorage:
         assert m.data.dtype == np.int64
         assert m.data.tolist() == [[2**70 % 7, 6], [0, (2**63 + 1) % 7]]
 
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"), -float("inf")))
+    def test_non_finite_entries_are_rejected(self, bad):
+        with pytest.raises(InvalidParameters):
+            FMatrix([[1, bad]], F7)
+        with pytest.raises(InvalidParameters):
+            FMatrix(np.array([[bad, 2.0]]), BIG)
+
     def test_digest_pinned(self):
         # Hex digests of the object-array storage this int64 storage replaced:
         # run reports must keep printing the same checksums.

@@ -35,6 +35,8 @@ from polycode.schemes import (
     worker_compute,
 )
 
+from recovery import decodable_ref
+
 F7 = FieldCtx(7)
 BIG = FieldCtx()
 
@@ -448,6 +450,21 @@ class TestProduct:
                 got = scheme.decode([results[i] for i in subset], shares, self.shape9)
                 assert got == oracle
 
+    def test_one_decode_peels_once(self, monkeypatch):
+        # The decodability check asks `latency`; only the solve peels.
+        a, b, oracle = make_instance(self.shape9, BIG)
+        scheme = ProductScheme(BIG)
+        shares, results = all_results(scheme, a, b, self.shape9)
+        calls, peel = [], scheme._peel_known
+
+        def counted(*args):
+            calls.append(args)
+            return peel(*args)
+
+        monkeypatch.setattr(scheme, "_peel_known", counted)
+        assert scheme.decode([results[i] for i in (1, 4, 5, 6, 7)], shares, self.shape9) == oracle
+        assert len(calls) == 1
+
     def test_invalid_grids_rejected(self):
         with pytest.raises(InvalidGrid):
             ProductScheme(BIG).threshold(ProblemShape(s=8, r=4, t=4, m=2, n=2, N=8))
@@ -576,6 +593,37 @@ def test_decodable_ignores_ids_of_no_worker(name, big_n, data):
             scheme.decodable(set(), shape)
         return
     assert got == scheme.decodable({i for i in ids if 0 <= i < total}, shape)
+
+
+@st.composite
+def rule_cases(draw):
+    """A scheme name and a shape it takes, from 1 to 36 workers."""
+    name = draw(st.sampled_from(SCHEME_NAMES), label="name")
+    m = draw(st.integers(1, 4), label="m")
+    n = m if name == "product" else draw(st.integers(1, 4), label="n")
+    if name == "product":
+        big_n = draw(st.integers(m, 6), label="side") ** 2
+    elif name == "mds1d":
+        big_n = n * draw(st.integers(m, m + 4), label="group_size")
+    else:
+        big_n = m * n + draw(st.integers(0, 6), label="spare")
+    return name, ProblemShape(s=max(m, n), r=m, t=n, m=m, n=n, N=big_n, allow_wide=True)
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=rule_cases(), data=st.data())
+def test_decodable_equals_the_rule_on_id_sets(case, data):
+    """`decodable`, which asks `latency`, against each scheme's rule stated on
+    sets in the tests, on random id sets of every size with ids of no worker
+    among them."""
+    name, shape = case
+    scheme = get_scheme(name, BIG)
+    total = scheme.num_shares(shape)
+    size = data.draw(st.integers(0, total), label="size")
+    ids = set(data.draw(st.permutations(range(total)), label="order")[:size])
+    ids |= data.draw(st.sets(st.integers(-total, 2 * total).filter(lambda i: not 0 <= i < total),
+                             max_size=3), label="foreign")
+    assert scheme.decodable(ids, shape) == decodable_ref(name, ids, shape)
 
 
 @pytest.mark.parametrize(

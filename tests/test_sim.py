@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode import sim
+from polycode.cluster import StragglerPlan
 from polycode.errors import (
     DominanceViolation,
     InvalidGrid,
@@ -14,7 +15,7 @@ from polycode.errors import (
     NeverDecodable,
     ShapeMismatch,
 )
-from polycode.field import FieldCtx
+from polycode.field import FieldCtx, embed_reals
 from polycode.matrixcore import ProblemShape
 from polycode.schemes import SCHEME_NAMES, ProductScheme, Scheme, get_scheme
 from polycode.sim import (
@@ -27,6 +28,7 @@ from polycode.sim import (
     scheme_latency,
     scheme_latency_batch,
 )
+from recovery import latency_ref
 
 BIG = FieldCtx()
 # One model of each kind; the empirical and deterministic ones give ties.
@@ -38,9 +40,11 @@ MODELS = (
 
 
 def per_row(scheme, shape, samples):
-    """scheme_latency on every row, NeverDecodable if any row raises it."""
+    """The reference master's latency on every row, asking the test's own
+    statement of the scheme's rule at every arrival; NeverDecodable if any
+    row never decodes."""
     try:
-        return [scheme_latency(scheme, shape, row) for row in samples]
+        return [latency_ref(scheme.name, shape, row) for row in samples]
     except NeverDecodable:
         return NeverDecodable
 
@@ -103,6 +107,23 @@ class TestLatencyModel:
             LatencyModel(kind="empirical", samples=(1.0, bad))
 
 
+@pytest.mark.parametrize(
+    "probe,error",
+    (
+        (lambda: LatencyModel(shift="a"), InvalidModelParams),
+        (lambda: LatencyModel(kind="empirical", samples=(1.0, None)), InvalidModelParams),
+        (lambda: StragglerPlan("per_worker", delays=("a",)), InvalidParameters),
+        (lambda: StragglerPlan("slow_random", factor="2"), InvalidParameters),
+        (lambda: sample_latency(LatencyModel(), 5, 0, 2.5), InvalidParameters),
+        (lambda: embed_reals(["a"], 8, BIG), InvalidParameters),
+    ),
+    ids=("model_shift", "model_samples", "plan_delays", "plan_factor", "trials", "embed_reals"),
+)
+def test_parameters_that_are_not_numbers_raise_typed_errors(probe, error):
+    with pytest.raises(error):
+        probe()
+
+
 class TestSchemeLatency:
     SHAPE5 = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=5)
 
@@ -145,6 +166,7 @@ class TestSchemeLatency:
         }
         # Latencies are order statistics of the samples, so they are equal.
         # Dropping columns removes workers; extra columns are not workers.
+        # `scheme_latency` is the batch path on one row, so it agrees too.
         for name, shape in shapes.items():
             scheme = get_scheme(name, BIG)
             full = sample_latency(LatencyModel(), shape.N + 2, seed=3, trials=64)
@@ -152,6 +174,8 @@ class TestSchemeLatency:
                 samples = full[:, :cols]
                 want = per_row(scheme, shape, samples)
                 assert batch(scheme, shape, samples) == want
+                if want is not NeverDecodable:
+                    assert [scheme_latency(scheme, shape, row) for row in samples] == want
             assert batch(scheme, shape, full[:, :1]) is NeverDecodable
             assert batch(scheme, shape, full[:, : shape.N]) is not NeverDecodable
 
@@ -165,14 +189,12 @@ class TestSchemeLatency:
         assert per_row(scheme, shape, samples) is NeverDecodable
 
     def test_batch_asks_the_scheme_for_its_latency_rule(self):
-        # A scheme outside the four is its class alone: the batch path pads
-        # missing workers with +inf and hands the grid to its `latency`.
+        # A scheme outside the four states its rule in `latency` alone: the
+        # batch path pads missing workers with +inf and hands it the grid,
+        # the scalar path one row, and `decodable` one row of 0 and +inf.
         class FirstTwo(Scheme):
             name = "first_two"
             seen = []
-
-            def _decodable(self, ids, shape):
-                return len(ids) >= 2
 
             def latency(self, times, shape):
                 self.seen.append(times.shape)
@@ -181,15 +203,23 @@ class TestSchemeLatency:
         scheme = FirstTwo(BIG)
         samples = sample_latency(LatencyModel(), 5, seed=4, trials=16)
         want = np.sort(samples, axis=1)[:, 1].tolist()
-        assert batch(scheme, self.SHAPE5, samples) == want == per_row(scheme, self.SHAPE5, samples)
+        assert batch(scheme, self.SHAPE5, samples) == want
+        assert [scheme_latency(scheme, self.SHAPE5, row) for row in samples] == want
         assert batch(scheme, self.SHAPE5, samples[:, :1]) is NeverDecodable
-        assert FirstTwo.seen == [(16, 5), (16, 5)]
+        assert scheme.decodable({0, 4, 9}, self.SHAPE5)
+        assert not scheme.decodable({3, -1, 5}, self.SHAPE5)
+        assert FirstTwo.seen == [(16, 5)] + [(1, 5)] * 16 + [(16, 5)] + [(1, 5)] * 2
 
-    @pytest.mark.parametrize("dims", ((5,), (2, 3, 5), ()))
+    @pytest.mark.parametrize("dims", ((5,), (2, 3, 5), (), (2, 5)))
     def test_samples_that_are_not_a_matrix_are_rejected(self, dims):
+        # The batch path takes a matrix, the scalar path one row.
         scheme = get_scheme("poly", BIG)
-        with pytest.raises(ShapeMismatch):
-            scheme_latency_batch(scheme, self.SHAPE5, np.ones(dims))
+        if len(dims) != 2:
+            with pytest.raises(ShapeMismatch):
+                scheme_latency_batch(scheme, self.SHAPE5, np.ones(dims))
+        if len(dims) != 1:
+            with pytest.raises(ShapeMismatch):
+                scheme_latency(scheme, self.SHAPE5, np.ones(dims))
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     @pytest.mark.parametrize("col", (0, 3, 9))
@@ -222,10 +252,11 @@ class TestSchemeLatency:
 @settings(deadline=None, max_examples=150)
 @given(model=st.sampled_from(MODELS), seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_latency_rule_equals_scalar_path(name, model, seed, data):
-    # Each scheme's batch rule against arrival-by-arrival `decodable` calls,
-    # compared exactly (product: its peeling fixed point against set
-    # peeling). Fewer columns than N leave workers out, which can make a
-    # trial never decodable; both paths must then raise NeverDecodable.
+    # Each scheme's batch rule against the reference master, which asks the
+    # test's own statement of the rule at every arrival, compared exactly
+    # (product: its peeling fixed point against set peeling). Fewer columns
+    # than N leave workers out, which can make a trial never decodable; both
+    # must then say NeverDecodable.
     if name == "product":
         side = data.draw(st.integers(1, 10), label="side")
         m = n = data.draw(st.integers(1, side), label="m")
