@@ -28,7 +28,7 @@ from .convolution import (
     pad_to_multiple,
     split_vector,
 )
-from .errors import DecodingFailure, PolycodeError
+from .errors import DecodingFailure, InvalidParameters, PolycodeError
 from .field import DEFAULT_Q, FieldCtx
 from .matrixcore import FMatrix, ProblemShape, load_matrix, transpose_mul
 from .schemes import SCHEME_NAMES, get_scheme, threshold_table
@@ -38,7 +38,11 @@ ENV_Q = "POLYCODE_Q"
 
 
 def _default_q() -> int:
-    return int(os.environ.get(ENV_Q, DEFAULT_Q))
+    value = os.environ.get(ENV_Q, DEFAULT_Q)
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidParameters(f"{ENV_Q} must be an integer, got {value!r}") from None
 
 
 def _parse_range(spec: str) -> list:
@@ -313,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # Built inside the try, as the --q default reads POLYCODE_Q.
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DecodingFailure as exc:
         sys.stderr.write(f"decoding failure: {exc}\n")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HarnessTimeout, InvalidParameters
-from .field import FieldCtx
+from .field import FieldCtx, as_natural
 from .matrixcore import FMatrix, ProblemShape
 from .schemes import PolyScheme, Scheme, WorkerResult, compute_shares, worker_compute
 from .sim import LatencyModel
@@ -177,6 +177,7 @@ def run(
         raise InvalidParameters(f"unknown clock mode {clock!r}")
     if not 0 <= time_scale < math.inf:
         raise InvalidParameters("time_scale must be finite and >= 0")
+    seed = as_natural(seed, "seed")
     scheme.validate(shape)
     scheme.check_inputs(a, b, shape)
     base_model = base_model or LatencyModel()
@@ -248,6 +249,7 @@ def run_with_faults(
     """
     if not isinstance(scheme, PolyScheme):
         raise InvalidParameters("fault-tolerant decoding is defined for the polynomial code")
+    seed = as_natural(seed, "seed")
     scheme.validate(shape)
     corrupt = set(corrupt)
     if not corrupt <= set(range(shape.N)):

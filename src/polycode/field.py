@@ -63,6 +63,14 @@ def as_int(value, name: str) -> int:
         raise InvalidParameters(f"{name} must be an integer, got {value!r}") from None
 
 
+def as_natural(value, name: str) -> int:
+    """`as_int(value, name)`, which must also be >= 0 (a seed or a bit count)."""
+    value = as_int(value, name)
+    if value < 0:
+        raise InvalidParameters(f"{name} must be >= 0, got {value}")
+    return value
+
+
 class FieldCtx:
     """Arithmetic context for the prime field F_q.
 
@@ -340,7 +348,7 @@ def embed_reals(values, precision_bits: int, ctx: FieldCtx):
     except (TypeError, ValueError):
         raise InvalidParameters("embed_reals takes real numbers") from None
     with np.errstate(over="ignore"):
-        scaled = np.rint(values * float(1 << precision_bits))
+        scaled = np.rint(values * float(1 << as_natural(precision_bits, "precision_bits")))
     fits = np.abs(scaled) <= limit
     if not fits.all():
         raise RangeOverflow(f"scaled value {scaled[~fits][0]:.0f} exceeds field half-range {half}")
@@ -351,5 +359,6 @@ def unembed_reals(values, precision_bits: int, ctx: FieldCtx):
     """Inverse of embed_reals: symmetric decode then fixed-point unscale."""
     import numpy as np
 
+    scale = float(1 << as_natural(precision_bits, "precision_bits"))
     v = np.asarray(values, dtype=np.int64) % ctx.q
-    return np.where(v > ctx.q // 2, v - ctx.q, v) / float(1 << precision_bits)
+    return np.where(v > ctx.q // 2, v - ctx.q, v) / scale

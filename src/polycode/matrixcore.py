@@ -38,17 +38,21 @@ def canonical(values, q: int) -> np.ndarray:
     Integer ndarrays that fit in int64 are reduced in numpy. Anything else
     (nested lists, Python ints of any size, floats, objects) goes through
     int(v) % q, so no value is wrapped or rounded in a fixed-width type
-    before it is reduced.
+    before it is reduced. An entry that int(v) does not equal, such as 1.5,
+    raises InvalidParameters; an integral float such as 2.0 is kept.
     """
     arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
     kind, size = arr.dtype.kind, arr.dtype.itemsize
     if kind in "bi" or (kind == "u" and size < 8):
         return np.mod(arr.astype(np.int64), q)
+    flat = arr.reshape(-1)
     try:
-        flat = [int(v) % q for v in arr.reshape(-1)]
-    except (ValueError, OverflowError):
+        ints = [int(v) for v in flat]
+    except (TypeError, ValueError, OverflowError):
         raise InvalidParameters("field entries must be finite numbers") from None
-    return np.array(flat, dtype=np.int64).reshape(arr.shape)
+    if any(i != v for i, v in zip(ints, flat)):
+        raise InvalidParameters("field entries must be integers")
+    return np.array([i % q for i in ints], dtype=np.int64).reshape(arr.shape)
 
 
 def _limbs(bits: int, k: int) -> tuple:

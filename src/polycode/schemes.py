@@ -251,10 +251,11 @@ class Scheme:
     each worker with a share, checks its shape and `decodable`, and hands the
     kept blocks' arrays to `_solve`. `_solve` returns the m*n output blocks as
     one array, a flattened block per row in (j, k) order, built with one
-    `mulmod` per group batch or peeled line from coefficients cached per
-    erasure pattern; one reshape turns it into the output. `latency` is the
-    recovery rule, stated on a batch of trials, and the only statement of
-    it: `decodable`, the harness's cut and the simulator all ask it.
+    `mulmod` for all mds1d groups or per product peel round from coefficients
+    cached per erasure pattern; one reshape turns it into the output.
+    `latency` is the recovery rule, stated on a batch of trials, and the only
+    statement of it: `decodable`, the harness's cut and the simulator all ask
+    it.
     """
 
     name: str = ""
@@ -488,7 +489,7 @@ class Mds1dScheme(Scheme):
 
 class ProductScheme(Scheme):
     """Product code: MDS redundancy on both inputs over a sqrt(N) grid,
-    decoded by iterative row/column peeling."""
+    decoded by peeling in alternating row and column rounds."""
 
     name = "product"
 
@@ -511,44 +512,6 @@ class ProductScheme(Scheme):
         side = self.grid_side(shape)
         gen = systematic_generator(side, shape.m, self.ctx)
         return gen, gen, [(i % side, i // side, None) for i in range(shape.N)]
-
-    def _peel_known(self, responded: set, side: int, m: int) -> list:
-        """The schedule of row/column peeling from the responded set: each
-        line that gains cells, in order, as the range of its `side` worker
-        ids; position j of a line is coded by generator row j.
-
-        Worker i holds cell divmod(i, side). A row (or column) with at least m
-        known cells decodes fully; completed lines are propagated with a work
-        queue, O(side^2) overall.
-        """
-        known = set(responded)
-        row_count = [0] * side
-        col_count = [0] * side
-        for i in known:
-            row_count[i // side] += 1
-            col_count[i % side] += 1
-        stack = [range(r * side, (r + 1) * side) for r in range(side) if row_count[r] >= m]
-        stack += [range(c, side * side, side) for c in range(side) if col_count[c] >= m]
-        order = []
-        while stack:
-            line = stack.pop()
-            if known.issuperset(line):
-                continue
-            order.append(line)
-            # The completed line's own count is already >= m, so only the
-            # crossing lines can reach m here.
-            for i in line:
-                if i in known:
-                    continue
-                known.add(i)
-                r, c = divmod(i, side)
-                row_count[r] += 1
-                col_count[c] += 1
-                if row_count[r] == m:
-                    stack.append(range(r * side, (r + 1) * side))
-                if col_count[c] == m:
-                    stack.append(range(c, side * side, side))
-        return order
 
     def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
         """Per trial, the time at which peeling first recovers the systematic cells.
@@ -592,23 +555,39 @@ class ProductScheme(Scheme):
 
     def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
         side, m = self.grid_side(shape), shape.m
-        # Row i of the work array is worker i's block, flattened; rows of
-        # cells not yet known are never read.
-        work = np.empty((side * side, shape.block_rows * shape.block_cols), dtype=np.int64)
+        # grid[row, col] is worker row*side + col's block, flattened, unread
+        # until known. A column round peels the rows of the transposed views.
+        grid = np.empty((side, side, shape.block_rows * shape.block_cols), dtype=np.int64)
+        known = np.zeros((side, side), dtype=bool)
         ids = sorted(cells)
-        work[ids] = np.stack([cells[i] for i in ids]).reshape(len(ids), -1)
-        known = set(ids)
-        # Replay the peeling schedule: each line's missing cells are one
-        # product of its cached coefficients with its first m known cells.
-        for line in self._peel_known(known, side, m):
-            have = tuple(j for j, i in enumerate(line) if i in known)[:m]
-            want = tuple(j for j, i in enumerate(line) if i not in known)
-            rows = work[line.start : line.stop : line.step]
-            rows[list(want)] = mulmod(_line_coeffs(side, m, self.ctx, have, want),
-                                      rows[list(have)], self.ctx.q)
-            known.update(line)
+        grid.reshape(side * side, -1)[ids] = np.stack([cells[i] for i in ids]).reshape(len(ids), -1)
+        known.flat[ids] = True
+        views, quiet = [(grid, known), (grid.transpose(1, 0, 2), known.T)], 0
+        while not known[:m, :m].all():
+            if quiet == 2:
+                raise NotEnoughResults(f"{self.name}: peeling stalls before the systematic cells")
+            quiet = 0 if self._peel_rows(*views[0], m) else quiet + 1
+            views.reverse()
         # cell (row i, col j) holds A_j^T B_i, i.e. output block (j, i).
-        return work.reshape(side, side, -1)[:m, :m].transpose(1, 0, 2).reshape(m * m, -1)
+        return grid[:m, :m].transpose(1, 0, 2).reshape(m * m, -1)
+
+    def _peel_rows(self, grid: np.ndarray, known: np.ndarray, m: int) -> bool:
+        """Complete, in one `mulmod`, every row of the (side, side, E) grid
+        with at least m known cells but not all: its other side - m cells
+        from its first m known ones. Returns whether any row was completed."""
+        side = len(known)
+        count = known.sum(axis=1)
+        ready = np.flatnonzero((count >= m) & (count < side))
+        if not ready.size:
+            return False
+        # Per ready row, its known positions in order, then the others.
+        order = np.argsort(~known[ready], axis=1, kind="stable")
+        have, want = order[:, :m], np.sort(order[:, m:], axis=1)
+        coeffs = np.stack([_line_coeffs(side, m, self.ctx, tuple(h), tuple(w))
+                           for h, w in zip(have.tolist(), want.tolist())])
+        grid[ready[:, None], want] = mulmod(coeffs, grid[ready[:, None], have], self.ctx.q)
+        known[ready] = True
+        return True
 
     def threshold(self, shape: ProblemShape) -> int:
         side = self.grid_side(shape)

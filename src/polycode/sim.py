@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DominanceViolation, InvalidModelParams, InvalidParameters, NeverDecodable, ShapeMismatch
-from .field import FieldCtx, as_int
+from .field import FieldCtx, as_int, as_natural
 from .matrixcore import ProblemShape
 from .schemes import Scheme, get_scheme
 
@@ -67,7 +67,7 @@ def sample_latency(model: LatencyModel, n: int, seed: int, trials: int) -> np.nd
     """
     if as_int(trials, "trials") < 1 or as_int(n, "n") < 1:
         raise InvalidModelParams("need trials >= 1 and n >= 1")
-    return model.sample((trials, n), np.random.default_rng(seed))
+    return model.sample((trials, n), np.random.default_rng(as_natural(seed, "seed")))
 
 
 def scheme_latency(scheme: Scheme, shape: ProblemShape, times) -> float:

@@ -152,6 +152,23 @@ class TestConvCommand:
         assert json.loads(capsys.readouterr().out)["exact"] is True
 
 
+@pytest.mark.parametrize("argv", (
+    ["verify"],
+    ["run", "--N", "4", "--m", "2", "--n", "2"],
+    ["threshold", "--m", "2", "--n", "2", "--N", "4"],
+    ["sim", "--N", "4", "--m", "2", "--n", "2"],
+    ["conv", "--m", "2", "--n", "2", "--N", "4"],
+), ids=lambda argv: argv[0])
+def test_bad_env_modulus_is_an_error_line(argv, capsys, monkeypatch):
+    # The --q default is read while the parser is built; that must not
+    # escape main as a traceback, whichever subcommand runs.
+    monkeypatch.setenv("POLYCODE_Q", "abc")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: POLYCODE_Q must be an integer, got 'abc'\n"
+
+
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys):
         assert main(["verify"]) == 0

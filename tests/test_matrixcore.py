@@ -188,6 +188,15 @@ class TestStorage:
         with pytest.raises(InvalidParameters):
             FMatrix(np.array([[bad, 2.0]]), BIG)
 
+    @pytest.mark.parametrize("bad", ([[1.5, 2.9]], np.array([[-0.5]]), [[2**70, 0.25]]))
+    def test_non_integer_entries_are_rejected(self, bad):
+        with pytest.raises(InvalidParameters):
+            FMatrix(bad, F7)
+
+    def test_integral_float_entries_are_kept(self):
+        assert FMatrix([[2.0, -1.0]], F7).data.tolist() == [[2, 6]]
+        assert FMatrix(np.array([[9.0, 0.0]]), F7).data.tolist() == [[2, 0]]
+
     def test_digest_pinned(self):
         # Hex digests of the object-array storage this int64 storage replaced:
         # run reports must keep printing the same checksums.

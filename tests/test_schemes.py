@@ -17,8 +17,9 @@ from polycode.errors import (
     ShapeMismatch,
     TooManyWorkersForField,
 )
+from polycode import schemes
 from polycode.field import FieldCtx, invert_matrix
-from polycode.matrixcore import FMatrix, ProblemShape, transpose_mul
+from polycode.matrixcore import FMatrix, ProblemShape, mulmod, transpose_mul
 from polycode.schemes import (
     SCHEME_NAMES,
     Mds1dScheme,
@@ -450,20 +451,32 @@ class TestProduct:
                 got = scheme.decode([results[i] for i in subset], shares, self.shape9)
                 assert got == oracle
 
-    def test_one_decode_peels_once(self, monkeypatch):
-        # The decodability check asks `latency`; only the solve peels.
+    @pytest.mark.parametrize("ids,calls", [((1, 4, 5, 6, 7), 2), ((0, 1, 3, 4), 0)])
+    def test_one_mulmod_per_peel_round(self, monkeypatch, ids, calls):
+        # {1, 4, 5, 6, 7}: a row round completes rows 1 and 2, then a column
+        # round columns 0 and 2. {0, 1, 3, 4} is the systematic corner itself.
         a, b, oracle = make_instance(self.shape9, BIG)
         scheme = ProductScheme(BIG)
         shares, results = all_results(scheme, a, b, self.shape9)
-        calls, peel = [], scheme._peel_known
+        seen = []
 
         def counted(*args):
-            calls.append(args)
-            return peel(*args)
+            seen.append(args)
+            return mulmod(*args)
 
-        monkeypatch.setattr(scheme, "_peel_known", counted)
-        assert scheme.decode([results[i] for i in (1, 4, 5, 6, 7)], shares, self.shape9) == oracle
-        assert len(calls) == 1
+        monkeypatch.setattr(schemes, "mulmod", counted)
+        assert scheme.decode([results[i] for i in ids], shares, self.shape9) == oracle
+        assert len(seen) == calls
+
+    def test_solve_stops_when_peeling_stalls(self):
+        # {0, 1, 2, 3}: a column round completes column 0, then no row or
+        # column has m known cells and missing ones, and cell 4 is unknown.
+        a, b, _ = make_instance(self.shape9, BIG)
+        scheme = ProductScheme(BIG)
+        shares, results = all_results(scheme, a, b, self.shape9)
+        cells = {i: results[i].c_tilde.data for i in (0, 1, 2, 3)}
+        with pytest.raises(NotEnoughResults):
+            scheme._solve(cells, shares, self.shape9)
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(InvalidGrid):

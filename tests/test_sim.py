@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode import sim
-from polycode.cluster import StragglerPlan
+from polycode.cluster import StragglerPlan, run, run_with_faults
 from polycode.errors import (
     DominanceViolation,
     InvalidGrid,
@@ -15,9 +15,9 @@ from polycode.errors import (
     NeverDecodable,
     ShapeMismatch,
 )
-from polycode.field import FieldCtx, embed_reals
-from polycode.matrixcore import ProblemShape
-from polycode.schemes import SCHEME_NAMES, ProductScheme, Scheme, get_scheme
+from polycode.field import FieldCtx, embed_reals, unembed_reals
+from polycode.matrixcore import FMatrix, ProblemShape
+from polycode.schemes import SCHEME_NAMES, PolyScheme, ProductScheme, Scheme, get_scheme
 from polycode.sim import (
     LatencyModel,
     ccdf_table,
@@ -122,6 +122,28 @@ class TestLatencyModel:
 def test_parameters_that_are_not_numbers_raise_typed_errors(probe, error):
     with pytest.raises(error):
         probe()
+
+
+PROBE_SHAPE = ProblemShape(s=4, r=4, t=4, m=2, n=2, N=4)
+PROBE_INPUTS = [FMatrix.zeros(4, 4, BIG)] * 2
+
+
+@pytest.mark.parametrize(
+    "probe",
+    (
+        lambda bad: embed_reals([0.5], bad, BIG),
+        lambda bad: unembed_reals([1], bad, BIG),
+        lambda bad: sample_latency(LatencyModel(), 5, bad, 2),
+        lambda bad: run(get_scheme("poly", BIG), *PROBE_INPUTS, PROBE_SHAPE, seed=bad),
+        lambda bad: run_with_faults(PolyScheme(BIG), *PROBE_INPUTS, PROBE_SHAPE, set(), seed=bad),
+        lambda bad: dominance_check(["poly"], LatencyModel(), PROBE_SHAPE, 2, seed=bad),
+    ),
+    ids=("embed_reals", "unembed_reals", "sample_latency", "run", "run_with_faults", "dominance_check"),
+)
+@pytest.mark.parametrize("bad", (2.5, "a", -1, None))
+def test_seeds_and_precision_must_be_non_negative_integers(probe, bad):
+    with pytest.raises(InvalidParameters):
+        probe(bad)
 
 
 class TestSchemeLatency:

@@ -4,8 +4,8 @@ the caches of line coefficients and interpolation weights behind it.
 `reference_decode` keeps the earlier path as the oracle's twin: one Gauss-Jordan
 inverse and one `combine` per line (`fill_line`), Lagrange weights rebuilt on
 every call, and the output stitched from a grid of blocks. Peeling here is a
-plain sweep over the rows and columns to a fixed point, independent of
-`ProductScheme._peel_known`.
+plain sweep over the rows and columns to a fixed point, one line at a time,
+independent of the row and column rounds of `ProductScheme._solve`.
 """
 
 import math
