@@ -6,10 +6,10 @@ default, deterministic) orders the workers by sampled time, all known before
 any worker runs. One call of the scheme's `latency`, with each worker's place
 in that order as its time, gives the length of that prefix without any share;
 then only those workers are encoded and computed, with one kernel call per
-input and one for the products. The threads clock encodes every share, runs
-each worker on a joined thread pool that waits out the worker's sampled time
-before computing, measures wall-clock time, and asks `decodable` at each
-arrival.
+input and one for the products, and decoded without asking the rule again.
+The threads clock encodes every share, runs each worker on a joined thread
+pool that waits out the worker's sampled time before computing, measures
+wall-clock time, and asks `decodable` at each arrival.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import HarnessTimeout, InvalidParameters
 from .field import FieldCtx, as_natural
 from .matrixcore import FMatrix, ProblemShape
-from .schemes import PolyScheme, Scheme, WorkerResult, compute_shares, worker_compute
+from .schemes import PolyScheme, Scheme, WorkerResult, _AcceptedResults, compute_shares, worker_compute
 from .sim import LatencyModel
 
 # Modeled, not measured: the virtual cost of one decode multiply-accumulate.
@@ -197,7 +197,7 @@ def run(
             raise HarnessTimeout("no decodable response set formed")
         responders = order[: int(last) + 1].tolist()
         shares = scheme.encode(a, b, shape, responders)
-        results = compute_shares(shares)
+        results = _AcceptedResults(compute_shares(shares))
         arrival_times = [(i, float(worker_times[i])) for i in responders]
     else:
         shares = scheme.encode(a, b, shape)

@@ -331,6 +331,16 @@ def check_embedding_bound(s: int, max_a: float, max_b: float, precision_bits: in
         )
 
 
+def _fixed_point_scale(precision_bits) -> float:
+    """2**precision_bits as a float. From 1024 bits on it is past the float
+    range, and InvalidParameters is raised."""
+    bits = as_natural(precision_bits, "precision_bits")
+    try:
+        return float(1 << bits)
+    except OverflowError:
+        raise InvalidParameters(f"precision_bits={bits}: 2**{bits} exceeds the float range") from None
+
+
 def embed_reals(values, precision_bits: int, ctx: FieldCtx):
     """Fixed-point embedding of reals into F_q, as an int64 array.
 
@@ -348,7 +358,7 @@ def embed_reals(values, precision_bits: int, ctx: FieldCtx):
     except (TypeError, ValueError):
         raise InvalidParameters("embed_reals takes real numbers") from None
     with np.errstate(over="ignore"):
-        scaled = np.rint(values * float(1 << as_natural(precision_bits, "precision_bits")))
+        scaled = np.rint(values * _fixed_point_scale(precision_bits))
     fits = np.abs(scaled) <= limit
     if not fits.all():
         raise RangeOverflow(f"scaled value {scaled[~fits][0]:.0f} exceeds field half-range {half}")
@@ -359,6 +369,6 @@ def unembed_reals(values, precision_bits: int, ctx: FieldCtx):
     """Inverse of embed_reals: symmetric decode then fixed-point unscale."""
     import numpy as np
 
-    scale = float(1 << as_natural(precision_bits, "precision_bits"))
+    scale = _fixed_point_scale(precision_bits)
     v = np.asarray(values, dtype=np.int64) % ctx.q
     return np.where(v > ctx.q // 2, v - ctx.q, v) / scale

@@ -10,11 +10,16 @@ approach of Dumas, Giorgi and Pernet). Both operands are split into L limbs
 (k * (2**b - 1)**2 < 2**53, L**2 products), unless splitting only the left
 one into L' limbs and passing the right one whole is exact
 (k * (2**bits - 1) * (2**b - 1) < 2**53) and needs fewer products, L' < L**2.
+The result is the only array a product allocates: each thread keeps one
+float64 work buffer, which holds the largest call's limbs, products and
+int64 scratch and never shrinks, and large accumulators are reduced by
+numpy's libdivide quotient, acc - (acc // q) * q, instead of `%`.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -81,6 +86,91 @@ def _limbs(bits: int, k: int) -> tuple:
     return width, count, width, count
 
 
+# Each thread's float64 work buffer (`buf`) and, per call shape since it last
+# grew, the views `mulmod` carves from it (`plans`). The views are dropped
+# once _MAX_PLANS shapes are kept, so shapes seen once do not pile up.
+_work = threading.local()
+_MAX_PLANS = 256
+# From this many result entries on, reducing by the libdivide quotient (three
+# passes) is cheaper than one `%` pass.
+_QUOTIENT_MIN = 1024
+
+
+def _plan(x_shape: tuple, y_shape: tuple, bits: int) -> tuple:
+    """This thread's views for a product of these shapes at `bits`-bit
+    entries: the limb width, x's and y's float64 limb slots with their int64
+    shift scratch, the float64 operands and products of the one BLAS call,
+    the top product and the Horner diagonals below it, the cast scratch and
+    the quotient scratch (None: the result is reduced by `%`).
+
+    The work buffer holds the products, then x's limbs (..., Lx, n, k) and
+    y's limbs (..., k, Ly, p). The limb shifts are done in int64 where the
+    products will go, and each product is cast to int64, then divided, where
+    the limbs were. The buffer grows to at least twice its size when a call
+    needs more, and the views cut from the old one are dropped with it.
+    """
+    n, k = x_shape[-2:]
+    p = y_shape[-1]
+    width, x_count, _, y_count = _limbs(bits, k)
+    batch = np.broadcast_shapes(x_shape[:-2], y_shape[:-2])
+    out_shape = (*batch, n, p)
+    x_size, y_size, out_size = math.prod(x_shape), math.prod(y_shape), math.prod(out_shape)
+    x_end = max(out_size * x_count * y_count, x_size, y_size)
+    y_end = x_end + x_size * x_count
+    need = max(y_end + y_size * y_count, x_end + out_size)
+    buf = getattr(_work, "buf", None)
+    if buf is None or buf.size < need:
+        _work.buf = buf = np.empty(max(need, 0 if buf is None else 2 * buf.size))
+        _work.plans = {}
+    elif len(_work.plans) >= _MAX_PLANS:
+        _work.plans = {}
+    prods = buf[: out_size * x_count * y_count].reshape(*batch, x_count * n, y_count * p)
+    xf = buf[x_end:y_end].reshape(*x_shape[:-2], x_count, n, k)
+    yf = buf[y_end : y_end + y_size * y_count].reshape(*y_shape[:-2], k, y_count, p)
+    shifted = buf[:x_end].view(np.int64)
+    cast = buf[x_end : x_end + out_size].view(np.int64).reshape(out_shape)
+    blocks = prods.reshape(*batch, x_count, n, y_count, p)
+    plan = (
+        width,
+        [xf[..., i, :, :] for i in range(x_count)],
+        shifted[:x_size].reshape(x_shape),
+        [yf[..., :, j, :] for j in range(y_count)],
+        shifted[:y_size].reshape(y_shape),
+        xf.reshape(*x_shape[:-2], x_count * n, k),
+        yf.reshape(*y_shape[:-2], k, y_count * p),
+        prods,
+        blocks[..., x_count - 1, :, y_count - 1, :],
+        [[blocks[..., i, :, d - i, :] for i in range(max(0, d - y_count + 1), min(d, x_count - 1) + 1)]
+         for d in range(x_count + y_count - 3, -1, -1)],
+        cast,
+        cast if out_size >= _QUOTIENT_MIN else None,
+    )
+    _work.plans[(x_shape, y_shape, bits)] = plan
+    return plan
+
+
+def _split(v: np.ndarray, limbs: list, width: int, tmp: np.ndarray) -> None:
+    """Write v's `width`-bit limbs, lowest first, into the float64 views
+    `limbs`; the top limb is the rest of v, unmasked."""
+    top = len(limbs) - 1
+    for i, out in enumerate(limbs):
+        src = np.right_shift(v, width * i, out=tmp) if i else v
+        if i < top:
+            src = np.bitwise_and(src, (1 << width) - 1, out=tmp)
+        np.copyto(out, src)
+
+
+def _reduce(acc: np.ndarray, q: int, quot: np.ndarray) -> None:
+    """acc %= q in place, for acc >= 0, where the floor is exact. With a
+    quotient scratch, by numpy's libdivide floor_divide by the scalar q."""
+    if quot is None:
+        np.remainder(acc, q, out=acc)
+    else:
+        np.floor_divide(acc, q, out=quot)
+        np.multiply(quot, q, out=quot)
+        np.subtract(acc, quot, out=acc)
+
+
 def mulmod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     """Exact (x @ y) mod q for canonical int64 operands and q < 2**62.
 
@@ -97,42 +187,43 @@ def mulmod(x: np.ndarray, y: np.ndarray, q: int) -> np.ndarray:
     i*n .. i*n + n - 1 and limb j of y as columns j*p .. j*p + p - 1, so one
     float64 product yields every x_i @ y_j exactly, each an n x p block.
     Horner steps mod q recombine sum_d 2**(b*d) D_d over the diagonals
-    D_d = sum_{i+j=d} x_i @ y_j; with Ly = 1 a diagonal is one product. The
-    products are added into the int64 accumulator as numpy casts them, so
-    besides the limbs and the float products only the result is allocated.
+    D_d = sum_{i+j=d} x_i @ y_j; with Ly = 1 a diagonal is one product.
+
+    The result is the only array a call allocates. Each thread keeps one
+    float64 work buffer, as large as its largest call's limbs, products and
+    int64 scratch, and never shrinks it: the limbs are written into it as
+    float64, BLAS writes the products into it, and each product is cast
+    into the scratch before it is added to the result. Every accumulator is
+    >= 0, so from `_QUOTIENT_MIN` entries on it is reduced as
+    acc - (acc // q) * q, by numpy's libdivide quotient, not by `%`.
     """
-    n, k = x.shape[-2:]
-    p = y.shape[-1]
     bits = (q - 1).bit_length()
-    width, x_count, _, y_count = _limbs(bits, k)
-    # y is split only in the symmetric case, into limbs as wide as x's.
-    shifts = np.arange(0, width * x_count, width, dtype=np.int64)
-    mask = (1 << width) - 1
-    if x_count > 1:
-        x = ((x[..., None, :, :] >> shifts[:, None, None]) & mask).reshape(
-            *x.shape[:-2], x_count * n, k)
-    if y_count > 1:
-        y = ((y[..., :, None, :] >> shifts[:, None]) & mask).reshape(
-            *y.shape[:-2], k, y_count * p)
-    prods = x.astype(np.float64) @ y.astype(np.float64)
-    prods = prods.reshape(*prods.shape[:-2], x_count, n, y_count, p)
+    try:
+        plan = _work.plans[(x.shape, y.shape, bits)]
+    except (AttributeError, KeyError):
+        plan = _plan(x.shape, y.shape, bits)
+    width, x_limbs, x_tmp, y_limbs, y_tmp, xf, yf, prods, top, diagonals, cast, quot = plan
+    _split(x, x_limbs, width, x_tmp)
+    _split(y, y_limbs, width, y_tmp)
+    np.matmul(xf, yf, out=prods)
 
     # With acc < q, acc << step stays below 2**63 and acc << (step - 1) below
     # 2**62. A diagonal is below L * 2**53 <= 2**59, so the last shift of
     # each Horner step and the add fit in int64 before one reduction.
     step = 63 - bits
-    acc = prods[..., x_count - 1, :, y_count - 1, :].astype(np.int64)
-    acc %= q
-    for d in range(x_count + y_count - 3, -1, -1):
-        left = width
-        while left >= step:
-            acc <<= step
-            acc %= q
-            left -= step
-        acc <<= left
-        for i in range(max(0, d - y_count + 1), min(d, x_count - 1) + 1):
-            np.add(acc, prods[..., i, :, d - i, :], out=acc, dtype=np.int64, casting="unsafe")
-        acc %= q
+    full, left = divmod(width, step)
+    acc = np.empty(top.shape, dtype=np.int64)
+    np.copyto(acc, top, casting="unsafe")
+    _reduce(acc, q, quot)
+    for diagonal in diagonals:
+        for _ in range(full):
+            np.left_shift(acc, step, out=acc)
+            _reduce(acc, q, quot)
+        np.left_shift(acc, left, out=acc)
+        for product in diagonal:
+            np.copyto(cast, product, casting="unsafe")
+            np.add(acc, cast, out=acc)
+        _reduce(acc, q, quot)
     return acc
 
 

@@ -429,3 +429,47 @@ class TestOutputDigest:
         a, b, _ = make_instance(shape)
         _, rep = run_with_faults(PolyScheme(BIG), a, b, shape, corrupt={1, 4, 8, 11}, seed=2)
         assert rep.output_digest == self.PINNED
+
+
+class TestVirtualClockAsksTheRuleOnce:
+    """The virtual clock's cut is the one question a run asks of the recovery
+    rule: `decode` takes the responders as decodable."""
+
+    @pytest.mark.parametrize("name", sorted(TestOutputDigest.SHAPES))
+    def test_one_latency_call_per_run(self, name, monkeypatch):
+        shape = TestOutputDigest.SHAPES[name]
+        scheme = get_scheme(name, BIG)
+        calls = []
+        latency = type(scheme).latency
+
+        def counted(self, times, shape):
+            calls.append(times.shape)
+            return latency(self, times, shape)
+
+        monkeypatch.setattr(type(scheme), "latency", counted)
+        a, b, oracle = make_instance(shape)
+        plan = StragglerPlan(mode="slow_random", factor=3.0)
+        c, rep = run(scheme, a, b, shape, plan=plan, seed=5)
+        assert calls == [(1, scheme.num_shares(shape))]
+        times = plan.sample_times(shape.N, np.random.default_rng(5), LatencyModel())
+        assert rep.responders == arrival_cut(name, shape, times.tolist())
+        assert rep.arrival_times == [(i, float(times[i])) for i in rep.responders]
+        assert c == oracle and rep.output_digest == TestOutputDigest.PINNED
+
+    @pytest.mark.parametrize("name", sorted(TestOutputDigest.SHAPES))
+    def test_decode_asks_the_rule_for_other_callers(self, name, monkeypatch):
+        shape = TestOutputDigest.SHAPES[name]
+        scheme = get_scheme(name, BIG)
+        a, b, oracle = make_instance(shape)
+        shares = scheme.encode(a, b, shape)
+        results = schemes.compute_shares(shares)
+        calls = []
+        latency = type(scheme).latency
+        monkeypatch.setattr(type(scheme), "latency",
+                            lambda self, times, shape: calls.append(1) or latency(self, times, shape))
+        assert scheme.decode(results, shares, shape) == oracle
+        assert calls == [1]
+        monkeypatch.setattr(type(scheme), "latency",
+                            lambda self, times, shape: np.full(len(times), math.inf))
+        with pytest.raises(polycode.errors.NotEnoughResults):
+            scheme.decode(results, shares, shape)

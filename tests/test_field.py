@@ -255,6 +255,19 @@ class TestRealEmbedding:
     def test_returns_int64(self):
         assert embed_reals([[1.5, -2.25]], 2, BIG).dtype == np.int64
 
+    def test_widest_precision_is_1023_bits(self):
+        # 2**1023 is the largest power of two a float holds.
+        tiny = 3 * 2.0**-1023
+        assert embed_reals([0.0, tiny, -tiny], 1023, BIG).tolist() == [0, 3, BIG.q - 3]
+        assert unembed_reals([0, 3, BIG.q - 3], 1023, BIG).tolist() == [0.0, tiny, -tiny]
+
+    @pytest.mark.parametrize("bits", [1024, 2000])
+    def test_wider_precision_is_invalid(self, bits):
+        with pytest.raises(InvalidParameters):
+            embed_reals([0.5], bits, BIG)
+        with pytest.raises(InvalidParameters):
+            unembed_reals([1], bits, BIG)
+
 
 def _embed_reals_by_loop(values, precision_bits, ctx):
     """The element-by-element embedding that the vectorised one replaced."""

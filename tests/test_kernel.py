@@ -3,7 +3,12 @@
 The oracle multiplies Python ints on object arrays (`np.dot(...) % q`), which
 is exact at any size, so every limb width, limb count and recombination step
 of the kernel is checked against arithmetic that shares none of its code.
+The last tests check the per-thread work buffer: a call allocates only its
+result, results never share memory with the buffer or with each other, and
+threads with their own buffers stay exact.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polycode.field import is_prime
-from polycode.matrixcore import _limbs, mulmod
+from polycode.matrixcore import _QUOTIENT_MIN, _limbs, mulmod
 
 NAMED_PRIMES = (7, 2**31 - 1, 2**61 - 1, 2**62 - 57)  # 2**62 - 57: largest prime below 2**62
 MAX_K = 8192  # largest inner dimension the limb-switch test tries
@@ -149,6 +154,43 @@ def test_inner_dimensions_straddling_one_sided_switches(q, seed):
                 check(x, y, q)
 
 
+# Results of at least _QUOTIENT_MIN entries are reduced by the libdivide
+# quotient, smaller ones by `%`; these shapes take the quotient path.
+WIDE = (32, 32)
+
+
+@settings(deadline=None, max_examples=30)
+@given(q=primes, k=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@example(q=2**61 - 1, k=40, seed=0)
+@example(q=2**62 - 57, k=1, seed=0)
+@example(q=3, k=40, seed=0)
+def test_quotient_reduction_matches_object_oracle(q, k, seed):
+    assert WIDE[0] * WIDE[1] >= _QUOTIENT_MIN
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, q, size=(WIDE[0], k), dtype=np.int64)
+    y = rng.integers(0, q, size=(k, WIDE[1]), dtype=np.int64)
+    check(x, y, q)
+
+
+@settings(deadline=None, max_examples=10)
+@given(q=primes)
+@example(q=2**31 - 1)
+@example(q=2**61 - 1)
+@example(q=2**62 - 57)
+def test_quotient_reduction_at_limb_count_switches(q):
+    # (q - 1)**2 = 1 and (q - 2)**2 = 4 mod q, so an all-v product is
+    # k * v**2 mod q in every entry: no oracle is needed at large k.
+    bits = (q - 1).bit_length()
+    ks = {k for switch in limb_switches(bits) + one_sided_switches(bits)
+          for k in range(max(switch - 2, 0), switch + 1)}
+    for k in sorted(ks):
+        for v in {q - 1, max(q - 2, 0)}:
+            x = np.full((WIDE[0], k), v, dtype=np.int64)
+            y = np.full((k, WIDE[1]), v, dtype=np.int64)
+            got = mulmod(x, y, q)
+            assert got.shape == WIDE and (got == k * v * v % q).all()
+
+
 @settings(deadline=None, max_examples=300)
 @given(bits=st.integers(1, 62), k=st.integers(0, MAX_K))
 @example(bits=31, k=64)
@@ -266,3 +308,114 @@ def test_stacked_transposed_operands():
     a = rng.integers(0, q, size=(5, 9, 3), dtype=np.int64)
     b = rng.integers(0, q, size=(5, 9, 4), dtype=np.int64)
     check_stacked(a.transpose(0, 2, 1), b, q)
+
+
+# The worker products of a run at s = r = t = 64, m = n = 2 and N = 16: the
+# stacked A~ blocks transposed, as `compute_shares` passes them.
+WORKER_SHAPES = ((8, 64, 32), (8, 64, 32))
+
+
+def worker_operands(q, seed=0):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, q, size=WORKER_SHAPES[0], dtype=np.int64)
+    b = rng.integers(0, q, size=WORKER_SHAPES[1], dtype=np.int64)
+    return a.transpose(0, 2, 1), b
+
+
+@pytest.mark.parametrize("q, shapes", [
+    (2**31 - 1, None),
+    (2**61 - 1, None),
+    (2**61 - 1, ((16, 4), (4, 1024))),
+])
+def test_a_call_allocates_only_its_result(q, shapes):
+    import tracemalloc
+
+    if shapes is None:
+        x, y = worker_operands(q)
+    else:
+        rng = np.random.default_rng(1)
+        x, y = (rng.integers(0, q, size=s, dtype=np.int64) for s in shapes)
+    mulmod(x, y, q)  # grows this thread's work buffer
+    tracemalloc.start()
+    try:
+        got = mulmod(x, y, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes <= peak <= got.nbytes + 8192
+
+
+def work_buffer():
+    from polycode import matrixcore
+
+    return matrixcore._work.buf
+
+
+def test_results_share_no_memory_and_survive_later_calls():
+    q = 2**61 - 1
+    rng = np.random.default_rng(5)
+    # Small, large (the buffer grows), small again, then other shapes and q.
+    calls = [((3, 4), (4, 5), q), ((40, 64), (64, 300), q), ((2, 3), (3, 2), q),
+             ((2, 6, 5), (2, 5, 3), 2**31 - 1), ((3, 4), (4, 5), q), ((7, 0), (0, 2), 7)]
+    kept = []
+    for xs, ys, mod in calls:
+        x = rng.integers(0, mod, size=xs, dtype=np.int64)
+        y = rng.integers(0, mod, size=ys, dtype=np.int64)
+        got = mulmod(x, y, mod)
+        assert not np.shares_memory(got, work_buffer())
+        for earlier, _ in kept:
+            assert not np.shares_memory(got, earlier)
+        kept.append((got, got.copy()))
+    for got, copy in kept:
+        assert np.array_equal(got, copy)
+    # The same shape twice gives two arrays.
+    x, y = worker_operands(q)
+    assert not np.shares_memory(mulmod(x, y, q), mulmod(x, y, q))
+
+
+def test_threads_with_mixed_shapes_stay_exact():
+    # Each thread keeps its own work buffer. Threads that shared one would
+    # write their limbs and products over each other's while BLAS and the
+    # larger ufunc loops run without the GIL.
+    import threading
+
+    jobs = []
+    for i, (q, xs, ys) in enumerate([
+        (2**31 - 1, (32, 64), (64, 32)),
+        (2**61 - 1, (32, 64), (64, 32)),
+        (2**31 - 1, (4, 8, 48), (4, 48, 40)),
+        (2**61 - 1, (4, 8, 48), (4, 48, 40)),
+        (2**31 - 1, (16, 2), (2, 1024)),
+        (2**61 - 1, (24, 3), (3, 512)),
+        (2**31 - 1, (6, 300), (300, 6)),
+        (2**61 - 1, (5, 5), (5, 5)),
+    ]):
+        rng = np.random.default_rng(100 + i)
+        x = rng.integers(0, q, size=xs, dtype=np.int64)
+        y = rng.integers(0, q, size=ys, dtype=np.int64)
+        batch = np.broadcast_shapes(xs[:-2], ys[:-2])
+        xb, yb = np.broadcast_to(x, batch + xs[-2:]), np.broadcast_to(y, batch + ys[-2:])
+        want = np.array([oracle(xb[idx], yb[idx], q) for idx in np.ndindex(batch)],
+                        dtype=np.int64).reshape(batch + (xs[-2], ys[-1]))
+        jobs.append((x, y, q, want))
+    start = threading.Barrier(len(jobs), timeout=60)
+    wrong = []
+
+    def work(x, y, q, want):
+        start.wait()
+        for _ in range(30):
+            if not np.array_equal(mulmod(x, y, q), want):
+                wrong.append((x.shape, q))
+
+    threads = [threading.Thread(target=work, args=job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads between numpy calls too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
