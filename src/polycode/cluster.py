@@ -4,12 +4,13 @@ The master decodes from the first prefix of the worker results, in completion
 order, that the scheme's recovery rule accepts. The virtual clock (the
 default, deterministic) orders the workers by sampled time, all known before
 any worker runs. One call of the scheme's `latency`, with each worker's place
-in that order as its time, gives the length of that prefix without any share;
-then only those workers are encoded and computed, with one kernel call per
-input and one for the products, and decoded without asking the rule again.
-The threads clock encodes every share, runs each worker on a joined thread
-pool that waits out the worker's sampled time before computing, measures
-wall-clock time, and asks `decodable` at each arrival.
+in that order as its time, gives the length of that prefix; then only those
+workers are encoded, one stack per input (`Scheme._stacks`), their products
+are one kernel call on the stacks, and those go to `Scheme.decode` without
+any share or result object and without asking the rule again. The threads
+clock encodes every share, runs each worker on a joined thread pool that
+waits out the worker's sampled time before computing, measures wall-clock
+time, and asks `decodable` at each arrival.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import numpy as np
 
 from .errors import HarnessTimeout, InvalidParameters
 from .field import FieldCtx, as_natural
-from .matrixcore import FMatrix, ProblemShape
-from .schemes import PolyScheme, Scheme, WorkerResult, _AcceptedResults, compute_shares, worker_compute
+from .matrixcore import FMatrix, ProblemShape, mulmod
+from .schemes import PolyScheme, Scheme, WorkerResult, _Accepted, worker_compute
 from .sim import LatencyModel
 
 # Modeled, not measured: the virtual cost of one decode multiply-accumulate.
@@ -196,8 +197,10 @@ def run(
         if last == math.inf:
             raise HarnessTimeout("no decodable response set formed")
         responders = order[: int(last) + 1].tolist()
-        shares = scheme.encode(a, b, shape, responders)
-        results = _AcceptedResults(compute_shares(shares))
+        ids = sorted(responders)
+        a_coded, b_coded = scheme._stacks(a, b, shape, ids)
+        results = _Accepted(ids, mulmod(a_coded.transpose(0, 2, 1), b_coded, scheme.ctx.q))
+        shares = None
         arrival_times = [(i, float(worker_times[i])) for i in responders]
     else:
         shares = scheme.encode(a, b, shape)

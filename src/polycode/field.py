@@ -317,15 +317,16 @@ def bw_decode(points: list, degree_bound: int, max_errors: int, ctx: FieldCtx) -
     return Poly(coeffs)
 
 
-def output_magnitude_bound(s: int, max_a: float, max_b: float, precision_bits: int) -> int:
-    """Worst-case magnitude of an output entry after fixed-point scaling."""
-    scale = 1 << precision_bits
-    return int(s * abs(max_a) * abs(max_b) * scale * scale) + 1
-
-
 def check_embedding_bound(s: int, max_a: float, max_b: float, precision_bits: int, ctx: FieldCtx) -> None:
-    """Raise RangeOverflow unless every product entry fits in the symmetric range."""
-    if output_magnitude_bound(s, max_a, max_b, precision_bits) >= ctx.q // 2:
+    """Raise RangeOverflow unless every entry of A^T B, for s-row inputs of
+    magnitude at most max_a and max_b, fits in the symmetric range once
+    embedded at `precision_bits`. `embed_reals` checks only the inputs; a
+    product entry sums s products of them and can wrap mod q even when
+    every input fits, so this checks the product's bound before multiplying.
+    """
+    scale = _fixed_point_scale(precision_bits)
+    # int(x) + 1 >= q // 2 exactly when x >= q // 2 - 1; `not <` also catches NaN.
+    if not s * abs(max_a) * abs(max_b) * scale * scale < ctx.q // 2 - 1:
         raise RangeOverflow(
             "output bound exceeds field half-range; increase q or reduce precision"
         )

@@ -340,13 +340,8 @@ def transpose_mul(a: FMatrix, b: FMatrix) -> FMatrix:
     return FMatrix(mulmod(a.data.T, b.data, a.ctx.q), a.ctx, _canonical=True)
 
 
-def combine(coeffs: list, blocks: list) -> list:
-    """One block sum_j coeffs[i][j] * blocks[j] over F_q per row i of coeffs.
-
-    Encoding (a generator times the input blocks) and erasure decoding
-    (interpolation weights or an inverse times the worker results) are such
-    maps, so each is one `mulmod` of coeffs with the stacked blocks.
-    """
+def lincomb(blocks: list, coeffs: list) -> FMatrix:
+    """Entrywise sum of coeffs[j] * blocks[j] over F_q, as one `mulmod`."""
     if not blocks:
         raise EmptyInput("linear combination over an empty block list")
     ctx = blocks[0].ctx
@@ -354,17 +349,11 @@ def combine(coeffs: list, blocks: list) -> list:
     for b in blocks:
         if b.data.shape != shape or b.ctx != ctx:
             raise ShapeMismatch("combined blocks must share shape and field")
-    coef = canonical(coeffs, ctx.q)
-    if coef.ndim != 2 or coef.shape[1] != len(blocks):
-        raise ShapeMismatch(f"{len(blocks)} blocks vs coefficient rows of shape {coef.shape}")
+    coef = canonical([coeffs], ctx.q)
+    if coef.shape != (1, len(blocks)):
+        raise ShapeMismatch(f"{len(blocks)} blocks vs coefficients of shape {coef.shape[1:]}")
     stacked = np.stack([b.data for b in blocks]).reshape(len(blocks), -1)
-    out = mulmod(coef, stacked, ctx.q)
-    return [FMatrix(row.reshape(shape), ctx, _canonical=True) for row in out]
-
-
-def lincomb(blocks: list, coeffs: list) -> FMatrix:
-    """Entrywise sum of coeffs[j] * blocks[j] over F_q."""
-    return combine([coeffs], blocks)[0]
+    return FMatrix(mulmod(coef, stacked, ctx.q).reshape(shape), ctx, _canonical=True)
 
 
 def save_array(values, path, q: int) -> None:

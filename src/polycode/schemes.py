@@ -2,9 +2,11 @@
 
 Each scheme exposes encode / decodable / latency / decode / threshold, and
 differs from the others only in its generators, its placement, its solve and
-its recovery rule. Encoding yields one WorkerShare per logical worker; each
-worker computes the block product of its two stored matrices; the master
-decodes once the responded set satisfies the scheme's recovery rule.
+its recovery rule. Each worker stores one coded block per input and computes
+their block product; the master decodes once the responded set satisfies the
+scheme's recovery rule. Inside the module a set of shares is a stack of coded
+blocks per input, and a set of results one stack of products, each with its
+worker ids; `encode` and `decode` take and give one object per worker.
 
 Each scheme states its recovery rule once, in `latency`: the earliest time at
 which the workers done by then let the master decode. `decodable` is that rule
@@ -35,9 +37,7 @@ from .matrixcore import (
     FMatrix,
     ProblemShape,
     canonical,
-    combine,
     mulmod,
-    split_cols,
     transpose_mul,
 )
 
@@ -63,44 +63,25 @@ def worker_compute(share: WorkerShare) -> WorkerResult:
     return WorkerResult(share.worker_id, transpose_mul(share.a_tilde, share.b_tilde))
 
 
-def compute_shares(shares: list) -> list:
-    """`worker_compute` of each share, as one `mulmod` over the stacked
-    A~^T and B~. Raises ShapeMismatch, as `transpose_mul` does, for operands
-    in different fields or with different row counts, and for blocks whose
-    shapes differ from the first share's."""
-    if not shares:
-        return []
-    ctx = shares[0].a_tilde.ctx
-    a_shape, b_shape = shares[0].a_tilde.data.shape, shares[0].b_tilde.data.shape
-    for sh in shares:
-        if sh.a_tilde.ctx != ctx or sh.b_tilde.ctx != ctx:
-            raise ShapeMismatch("operands live in different fields")
-        if sh.a_tilde.data.shape != a_shape or sh.b_tilde.data.shape != b_shape:
-            raise ShapeMismatch(f"worker {sh.worker_id} holds blocks of other shapes")
-    if a_shape[0] != b_shape[0]:
-        raise ShapeMismatch(f"row counts differ: {a_shape[0]} vs {b_shape[0]}")
-    a = np.stack([sh.a_tilde.data for sh in shares])
-    b = np.stack([sh.b_tilde.data for sh in shares])
-    out = mulmod(a.transpose(0, 2, 1), b, ctx.q)
-    return [WorkerResult(sh.worker_id, FMatrix(c, ctx, _canonical=True))
-            for sh, c in zip(shares, out)]
+@dataclass(frozen=True)
+class _Accepted:
+    """Results as sorted ids and their stacked blocks, whose ids the virtual
+    clock's cut has accepted: `decode` does not ask the recovery rule again."""
+
+    ids: list
+    blocks: np.ndarray
 
 
-class _AcceptedResults(list):
-    """Worker results whose ids the recovery rule has already accepted, as
-    the virtual clock's cut does before any worker computes: `decode` keeps
-    its other checks but does not ask the rule again."""
-
-
-def _coded_rows(gen, blocks: list, rows: list):
-    """Generator row -> coded block for each of `rows`: one `combine` of the
-    distinct rows of gen with an input's column blocks. With gen None the
-    input is uncoded, and row j is its column block j itself, not an
-    identity product."""
+def _coded_stack(gen, mat: FMatrix, parts: int, rows: np.ndarray) -> np.ndarray:
+    """Slice i is generator row rows[i] applied to the `parts` column blocks
+    of `mat`: one `mulmod` of the distinct rows, then a gather. With gen None
+    the input is uncoded, and row j is its column block j itself."""
+    blocks = mat.data.reshape(mat.rows, parts, -1).transpose(1, 0, 2)
     if gen is None:
-        return blocks
-    distinct = list(dict.fromkeys(rows))
-    return dict(zip(distinct, combine(gen[distinct], blocks)))
+        return blocks[rows]
+    distinct, where = np.unique(rows, return_inverse=True)
+    coded = mulmod(gen[distinct], blocks.reshape(parts, -1), mat.ctx.q)
+    return coded.reshape(len(distinct), *blocks.shape[1:])[where]
 
 
 def _first_per_worker(results: list) -> dict:
@@ -109,7 +90,11 @@ def _first_per_worker(results: list) -> dict:
 
 
 def _evaluation_points(big_n: int, ctx: FieldCtx) -> list:
-    """The points 0..N-1; N > q raises, as they would not be distinct in F_q."""
+    """The points 0..N-1 for an integer N >= 1; N > q raises, as they would
+    not be distinct in F_q."""
+    big_n = as_int(big_n, "N")
+    if big_n < 1:
+        raise InvalidParameters(f"N must be positive, got {big_n}")
     if big_n > ctx.q:
         raise TooManyWorkersForField(f"N={big_n} exceeds field size q={ctx.q}")
     return list(range(big_n))
@@ -253,12 +238,12 @@ class Scheme:
     Each scheme is a generator, a placement, a solve and a recovery rule.
     `_layout` gives the generator rows that combine A's m and B's n column
     blocks (None: that input is not coded) and, per worker, the row of each
-    that it stores. `encode` applies them; `decode` keeps the first result of
-    each worker with a share, checks its shape and `decodable`, and hands the
-    kept blocks' arrays to `_solve`. `_solve` returns the m*n output blocks as
-    one array, a flattened block per row in (j, k) order, built with one
-    `mulmod` for all mds1d groups or per product peel round from coefficients
-    cached per erasure pattern; one reshape turns it into the output.
+    that it stores. `_stacks` applies them, one stack per input, and
+    `encode` cuts the stacks into shares. `_select` stacks the results that
+    `decode` may use, and `_solve` returns the m*n output blocks as one array,
+    a flattened block per row in (j, k) order, built with one `mulmod` for
+    all mds1d groups or per product peel round from coefficients cached per
+    erasure pattern; one reshape turns it into the output.
     `latency` is the recovery rule, stated on a batch of trials, and the only
     statement of it: `decodable`, the harness's cut and the simulator all ask
     it.
@@ -293,24 +278,31 @@ class Scheme:
 
     def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape, ids=None) -> list:
         """The shares of the workers `ids` (default: all num_shares), in that
-        order, after `check_inputs`. Each input is one `combine` of just the
-        distinct generator rows those workers hold, so a row that several
-        workers share is built once, and a share's blocks do not depend on
-        which other ids are asked for. An id outside range(num_shares) raises
+        order, after `check_inputs`. An id outside range(num_shares) raises
         InvalidParameters."""
         self.check_inputs(a, b, shape)
-        gen_a, gen_b, placement = self._layout(shape)
+        placement = self._layout(shape)[2]
         total = len(placement)
         ids = range(total) if ids is None else [as_int(i, "worker id") for i in ids]
         if not all(0 <= i < total for i in ids):
             raise InvalidParameters(f"worker ids must lie in [0, {total})")
-        held = [placement[i] for i in ids]
-        a_coded = _coded_rows(gen_a, split_cols(a, shape.m), [ja for ja, _, _ in held])
-        b_coded = _coded_rows(gen_b, split_cols(b, shape.n), [kb for _, kb, _ in held])
+        a_coded, b_coded = self._stacks(a, b, shape, ids)
         return [
-            WorkerShare(worker_id=i, a_tilde=a_coded[ja], b_tilde=b_coded[kb], x=x)
-            for i, (ja, kb, x) in zip(ids, held)
+            WorkerShare(i, FMatrix(at, self.ctx, _canonical=True),
+                        FMatrix(bt, self.ctx, _canonical=True), placement[i][2])
+            for i, at, bt in zip(ids, a_coded, b_coded)
         ]
+
+    def _stacks(self, a: FMatrix, b: FMatrix, shape: ProblemShape, ids) -> tuple:
+        """The stacks (len(ids), s, block_rows) of A~ and (len(ids), s,
+        block_cols) of B~ of the workers `ids`, in that order, for checked
+        inputs and ids. Each input is one `mulmod` of just the distinct
+        generator rows those workers hold, so a worker's blocks do not depend
+        on which other ids are asked for."""
+        gen_a, gen_b, placement = self._layout(shape)
+        held = np.array([placement[i][:2] for i in ids], dtype=np.int64).reshape(-1, 2)
+        return (_coded_stack(gen_a, a, shape.m, held[:, 0]),
+                _coded_stack(gen_b, b, shape.n, held[:, 1]))
 
     def decodable(self, responded, shape: ProblemShape) -> bool:
         """Whether the blocks of the `responded` worker ids determine the
@@ -329,28 +321,33 @@ class Scheme:
         superset of a decodable set is decodable."""
         raise NotImplementedError
 
-    def _select(self, results: list, shares: list, shape: ProblemShape) -> dict:
-        """Worker id -> block array of the first result from each worker that
-        has a share; results from other ids are dropped. Raises ShapeMismatch
-        for a kept block of the wrong shape, then NotEnoughResults unless the
-        kept ids are decodable (taken as given for _AcceptedResults)."""
-        ids = {s.worker_id for s in shares}
-        cells = {i: r.c_tilde.data for i, r in _first_per_worker(results).items() if i in ids}
+    def _select(self, results, shares: list, shape: ProblemShape) -> tuple:
+        """(ids, blocks): the sorted ids of the workers in `shares` that sent
+        a result, and the first result of each, stacked in that order. Raises
+        ShapeMismatch for a kept block of the wrong shape, then
+        NotEnoughResults unless the kept ids are decodable. `_Accepted`
+        results, which need no shares, are returned as they are."""
+        if isinstance(results, _Accepted):
+            return results.ids, results.blocks
+        held = {s.worker_id for s in shares}
+        first = _first_per_worker(results)
+        ids = sorted(i for i in first if i in held)
+        blocks = [first[i].c_tilde.data for i in ids]
         want = (shape.block_rows, shape.block_cols)
-        for i, c in cells.items():
+        for i, c in zip(ids, blocks):
             if c.shape != want:
                 raise ShapeMismatch(f"worker {i} sent a block of shape {c.shape}, not {want}")
-        if not isinstance(results, _AcceptedResults) and not self.decodable(cells.keys(), shape):
-            raise NotEnoughResults(f"{self.name}: {len(cells)} distinct results are not decodable")
-        return cells
+        if not self.decodable(ids, shape):
+            raise NotEnoughResults(f"{self.name}: {len(ids)} distinct results are not decodable")
+        return ids, np.stack(blocks)
 
-    def decode(self, results: list, shares: list, shape: ProblemShape) -> FMatrix:
-        return _assemble(self._solve(self._select(results, shares, shape), shares, shape),
-                         shape, self.ctx)
+    def decode(self, results, shares: list, shape: ProblemShape) -> FMatrix:
+        return _assemble(self._solve(*self._select(results, shares, shape), shape), shape, self.ctx)
 
-    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
+    def _solve(self, ids: list, blocks: np.ndarray, shape: ProblemShape) -> np.ndarray:
         """The (m*n, block_rows*block_cols) array whose row j*n + k is output
-        block A_j^T B_k, flattened, from a decodable set of worker blocks."""
+        block A_j^T B_k, flattened, from the blocks of a decodable set of
+        workers: blocks[i] is worker ids[i]'s, and ids are sorted."""
         raise NotImplementedError
 
     def threshold(self, shape: ProblemShape) -> int:
@@ -393,14 +390,13 @@ class PolyScheme(Scheme):
         k = self.required_results(shape)  # fewer workers than K never decode
         return np.sort(times, axis=1)[:, k - 1] if times.shape[1] >= k else np.full(len(times), np.inf)
 
-    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
-        # Interpolate from the lowest worker ids, so the work is deterministic.
-        picked = sorted(cells)[: self.required_results(shape)]
-        x_of = {s.worker_id: s.x for s in shares}
-        weights = _interpolation_weights([x_of[i] for i in picked], self.ctx)
-        exps = [j + k * shape.m for j in range(shape.m) for k in range(shape.n)]
-        known = np.stack([cells[i] for i in picked]).reshape(len(picked), -1)
-        return mulmod(weights[exps], known, self.ctx.q)
+    def _solve(self, ids: list, blocks: np.ndarray, shape: ProblemShape) -> np.ndarray:
+        # Interpolate from the lowest worker ids, so the work is deterministic;
+        # worker i's point is i.
+        k = self.required_results(shape)
+        weights = _interpolation_weights(ids[:k], self.ctx)
+        exps = [j + kb * shape.m for j in range(shape.m) for kb in range(shape.n)]
+        return mulmod(weights[exps], blocks[:k].reshape(k, -1), self.ctx.q)
 
     def decode_with_errors(
         self, results: list, shares: list, shape: ProblemShape, max_errors: int = None
@@ -424,18 +420,15 @@ class PolyScheme(Scheme):
         entries decoded together (`_interleaved_decode`). Entry-by-entry
         Berlekamp-Welch runs only when that result fails its check.
         """
-        cells = self._select(results, shares, shape)
-        if len(cells) != shape.N:
+        ids, blocks = self._select(results, shares, shape)
+        if len(ids) != shape.N:
             raise NotEnoughResults("error decoding needs results from all N workers")
         k = self.required_results(shape)
         t = (shape.N - k) // 2 if max_errors is None else max_errors
-        ordered = sorted(cells)
-        x_of = {s.worker_id: s.x for s in shares}
-        xs = [x_of[i] for i in ordered]
-        received = np.stack([cells[i] for i in ordered]).reshape(len(ordered), -1)
-        coeffs = _interleaved_decode(xs, received, k, t, self.ctx)
+        received = blocks.reshape(len(ids), -1)  # worker i's point is i
+        coeffs = _interleaved_decode(ids, received, k, t, self.ctx)
         if coeffs is None:
-            coeffs = _entrywise_decode(xs, received, k, t, self.ctx)
+            coeffs = _entrywise_decode(ids, received, k, t, self.ctx)
         exps = [j + k * shape.m for j in range(shape.m) for k in range(shape.n)]
         return _assemble(coeffs[exps], shape, self.ctx)
 
@@ -474,15 +467,17 @@ class Mds1dScheme(Scheme):
         # each group needs its m-th fastest; the slowest group gates the decode
         return np.sort(groups, axis=2)[:, :, shape.m - 1].max(axis=1)
 
-    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
+    def _solve(self, ids: list, blocks: np.ndarray, shape: ProblemShape) -> np.ndarray:
         g, m, n = self.group_size(shape), shape.m, shape.n
         # Each group is one line whose unknowns are its systematic blocks,
         # solved from its first m known blocks; all n groups are one batched
         # product, whose block (group k, position j) is output block (j, k).
-        haves = [tuple(j for j in range(g) if k * g + j in cells)[:m] for k in range(n)]
-        coeffs = np.stack([_line_coeffs(g, m, self.ctx, have, tuple(range(m))) for have in haves])
-        known = np.stack([cells[k * g + j] for k, have in enumerate(haves) for j in have])
-        out = mulmod(coeffs, known.reshape(n, m, -1), self.ctx.q)
+        # Group k's ids sit together in the sorted ids, from its first one on.
+        first = np.searchsorted(ids, np.arange(n) * g)[:, None] + np.arange(m)
+        haves = (np.asarray(ids)[first] % g).tolist()
+        coeffs = np.stack([_line_coeffs(g, m, self.ctx, tuple(have), tuple(range(m)))
+                           for have in haves])
+        out = mulmod(coeffs, blocks[first].reshape(n, m, -1), self.ctx.q)
         return out.transpose(1, 0, 2).reshape(m * n, -1)
 
     def threshold(self, shape: ProblemShape) -> int:
@@ -559,14 +554,13 @@ class ProductScheme(Scheme):
                 grid, live = grid[moved], live[moved]
         return out
 
-    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
+    def _solve(self, ids: list, blocks: np.ndarray, shape: ProblemShape) -> np.ndarray:
         side, m = self.grid_side(shape), shape.m
         # grid[row, col] is worker row*side + col's block, flattened, unread
         # until known. A column round peels the rows of the transposed views.
         grid = np.empty((side, side, shape.block_rows * shape.block_cols), dtype=np.int64)
         known = np.zeros((side, side), dtype=bool)
-        ids = sorted(cells)
-        grid.reshape(side * side, -1)[ids] = np.stack([cells[i] for i in ids]).reshape(len(ids), -1)
+        grid.reshape(side * side, -1)[ids] = blocks.reshape(len(ids), -1)
         known.flat[ids] = True
         views, quiet = [(grid, known), (grid.transpose(1, 0, 2), known.T)], 0
         while not known[:m, :m].all():
@@ -623,10 +617,9 @@ class UncodedScheme(Scheme):
     def latency(self, times: np.ndarray, shape: ProblemShape) -> np.ndarray:
         return times.max(axis=1)
 
-    def _solve(self, cells: dict, shares: list, shape: ProblemShape) -> np.ndarray:
-        # Worker j*n + k holds output block (j, k).
-        total = shape.m * shape.n
-        return np.stack([cells[i] for i in range(total)]).reshape(total, -1)
+    def _solve(self, ids: list, blocks: np.ndarray, shape: ProblemShape) -> np.ndarray:
+        # Worker j*n + k holds output block (j, k), and every worker answered.
+        return blocks.reshape(len(ids), -1)
 
     def threshold(self, shape: ProblemShape) -> int:
         return shape.m * shape.n
@@ -651,7 +644,11 @@ def threshold(name: str, shape: ProblemShape, ctx: FieldCtx = None) -> int:
 
 
 def threshold_table(m: int, n: int, n_range, ctx: FieldCtx = None) -> list:
-    """Rows (N, scheme, threshold) for every scheme defined at each N."""
+    """Rows (N, scheme, threshold) for every scheme defined at each N, for
+    integers m, n >= 1."""
+    m, n = as_int(m, "m"), as_int(n, "n")
+    if min(m, n) < 1:
+        raise InvalidParameters(f"m and n must be positive, got m={m}, n={n}")
     ctx = ctx or FieldCtx()
     rows = []
     for big_n in n_range:

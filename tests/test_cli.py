@@ -49,6 +49,13 @@ class TestThresholdCommand:
         rows = json.loads(capsys.readouterr().out)
         assert {"N": 5, "scheme": "poly", "threshold": 4} in rows
 
+    @pytest.mark.parametrize("m, n", ((0, 1), (1, 0), (-2, 3)))
+    def test_nonpositive_partition_counts_are_an_error(self, m, n, capsys):
+        assert main(["threshold", "--m", str(m), "--n", str(n), "--N", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: m and n must be positive, got m={m}, n={n}\n"
+
 
 class TestRunCommand:
     ARGS = ["run", "--scheme", "poly", "--N", "5", "--m", "2", "--n", "2",
@@ -180,7 +187,8 @@ class TestVerifyCommand:
         """Solves whatever it is given, without the decodability check."""
 
         def _select(self, results, shares, shape):
-            return {r.worker_id: r.c_tilde for r in results}
+            results = sorted(results, key=lambda r: r.worker_id)
+            return [r.worker_id for r in results], np.stack([r.c_tilde.data for r in results])
 
     class Constant(PolyScheme):
         """Returns a product for any subset."""
@@ -191,5 +199,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("mutant", [Unchecked, Constant])
     def test_sweep_requires_not_enough_results_below_the_threshold(self, mutant):
         shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=5)
-        with pytest.raises(AssertionError, match=r"subset \(0,\)"):
+        with pytest.raises(AssertionError, match=r"subset \(0,\)") as info:
             sweep_decode_subsets(mutant(F7), shape, F7)
+        # The mutant's selection has the real one's type: the decode itself fails.
+        assert "TypeError" not in str(info.value)

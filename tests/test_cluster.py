@@ -183,32 +183,31 @@ class TestVirtualCut:
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_only_responders_compute_in_one_kernel_call(self, name, monkeypatch):
         shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=16)
-        log = SimpleNamespace(batches=[], mulmods=0, kernel_in_batch=[])
-        compute, mulmod = cluster.compute_shares, schemes.mulmod
+        scheme = get_scheme(name, BIG)
+        log = SimpleNamespace(encoded=[], products=[])
+        stacks, mulmod = scheme._stacks, cluster.mulmod
 
-        def counted_mulmod(*args):
-            log.mulmods += 1
-            return mulmod(*args)
+        def tracked(a, b, shape, ids):
+            log.encoded.append(list(ids))
+            return stacks(a, b, shape, ids)
 
-        def tracked(shares):
-            before = log.mulmods
-            log.batches.append([sh.worker_id for sh in shares])
-            out = compute(shares)
-            log.kernel_in_batch.append(log.mulmods - before)
-            return out
+        def counted_mulmod(x, y, q):
+            log.products.append((x.shape, y.shape))
+            return mulmod(x, y, q)
 
         def forbidden(share):
             raise AssertionError("the virtual clock computes no worker alone")
 
-        monkeypatch.setattr(schemes, "mulmod", counted_mulmod)
-        monkeypatch.setattr(cluster, "compute_shares", tracked)
+        monkeypatch.setattr(scheme, "_stacks", tracked)
+        monkeypatch.setattr(cluster, "mulmod", counted_mulmod)
         monkeypatch.setattr(cluster, "worker_compute", forbidden)
         a, b, oracle = make_instance(shape)
         plan = StragglerPlan(mode="per_worker", delays=tuple(map(float, self.DELAYS)))
-        c, rep = run(get_scheme(name, BIG), a, b, shape, plan=plan)
+        c, rep = run(scheme, a, b, shape, plan=plan)
         assert c == oracle
-        assert log.batches == [rep.responders]
-        assert log.kernel_in_batch == [1]
+        assert log.encoded == [sorted(rep.responders)]
+        k = len(rep.responders)
+        assert log.products == [((k, shape.block_rows, shape.s), (k, shape.s, shape.block_cols))]
 
     @pytest.mark.parametrize("clock", ("virtual", "threads"))
     @pytest.mark.parametrize("name", SCHEME_NAMES)
@@ -217,13 +216,22 @@ class TestVirtualCut:
         # builds those 4 rows of each generator, the threads clock all 16.
         shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=16)
         scheme = get_scheme(name, BIG)
-        built, combine = [], schemes.combine
+        built, encoding, stacks, mulmod = [], [], scheme._stacks, schemes.mulmod
 
-        def logged(coeffs, blocks):
-            built.append(sorted(map(tuple, np.asarray(coeffs).tolist())))
-            return combine(coeffs, blocks)
+        def encode_stacks(*args):
+            encoding.append(True)
+            try:
+                return stacks(*args)
+            finally:
+                encoding.pop()
 
-        monkeypatch.setattr(schemes, "combine", logged)
+        def logged(x, y, q):
+            if encoding:
+                built.append(sorted(map(tuple, x.tolist())))
+            return mulmod(x, y, q)
+
+        monkeypatch.setattr(scheme, "_stacks", encode_stacks)
+        monkeypatch.setattr(schemes, "mulmod", logged)
         a, b, oracle = make_instance(shape)
         plan = StragglerPlan(mode="per_worker", delays=tuple(map(float, self.DELAYS)))
         c, rep = run(scheme, a, b, shape, plan=plan, clock=clock, time_scale=0)
@@ -246,7 +254,8 @@ class TestVirtualCut:
                 return np.full(len(times), np.inf)
 
         computed = []
-        monkeypatch.setattr(cluster, "compute_shares", computed.append)
+        monkeypatch.setattr(Never, "_stacks", lambda *args: computed.append(args))
+        monkeypatch.setattr(cluster, "mulmod", lambda *args: computed.append(args))
         a, b, _ = make_instance(SHAPE5)
         plan = StragglerPlan(mode="per_worker", delays=(3.0, 1.0, 4.0, 1.0, 5.0))
         with pytest.raises(HarnessTimeout):
@@ -462,7 +471,7 @@ class TestVirtualClockAsksTheRuleOnce:
         scheme = get_scheme(name, BIG)
         a, b, oracle = make_instance(shape)
         shares = scheme.encode(a, b, shape)
-        results = schemes.compute_shares(shares)
+        results = [schemes.worker_compute(sh) for sh in shares]
         calls = []
         latency = type(scheme).latency
         monkeypatch.setattr(type(scheme), "latency",

@@ -112,6 +112,12 @@ class TestConvEncode:
         with pytest.raises(InvalidParameters):
             conv_encode([as_vector([1, 2], F7)], [as_vector([1], F7)], 2, F7)
 
+    @pytest.mark.parametrize("big_n", (0, -1, 2.5, "3", None))
+    def test_worker_count_must_be_a_positive_integer(self, big_n):
+        blocks = split_vector([1, 2, 3, 4], 2, F7)
+        with pytest.raises(InvalidParameters):
+            conv_encode(blocks, blocks, big_n, F7)
+
 
 class TestConvDecode:
     def test_all_four_subsets_of_seven_exact(self):

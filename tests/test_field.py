@@ -239,6 +239,19 @@ class TestRealEmbedding:
             check_embedding_bound(32, 1.0, 1.0, 10, FieldCtx(2**13 - 1))
         check_embedding_bound(32, 1.0, 1.0, 10, BIG)
 
+    def test_product_bound_is_exact_and_exported(self):
+        # At q = 11 the bound s * 4**p + 1 must stay below q // 2 = 5.
+        import polycode
+
+        assert polycode.check_embedding_bound is check_embedding_bound
+        check_embedding_bound(3, 1.0, -1.0, 0, FieldCtx(11))
+        for args in ((4, 1.0, 1.0, 0), (1, float("nan"), 1.0, 0), (1, 1.0, float("inf"), 0)):
+            with pytest.raises(RangeOverflow):
+                check_embedding_bound(*args, FieldCtx(11))
+        for bits in (2.5, -1, 1024):
+            with pytest.raises(InvalidParameters):
+                check_embedding_bound(1, 1.0, 1.0, bits, BIG)
+
     def test_range_check_is_exact_in_integers(self):
         # Half is 2^60 - 1 here, and float(half) rounds up to 2^60.
         q61 = FieldCtx(2**61 - 1)

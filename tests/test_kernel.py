@@ -302,7 +302,7 @@ def test_stacked_operands_at_limb_count_switches(q):
 
 
 def test_stacked_transposed_operands():
-    # compute_shares passes the stacked A~ blocks transposed, as a view.
+    # The virtual clock passes the stacked A~ blocks transposed, as a view.
     q = 2**61 - 1
     rng = np.random.default_rng(4)
     a = rng.integers(0, q, size=(5, 9, 3), dtype=np.int64)
@@ -311,7 +311,7 @@ def test_stacked_transposed_operands():
 
 
 # The worker products of a run at s = r = t = 64, m = n = 2 and N = 16: the
-# stacked A~ blocks transposed, as `compute_shares` passes them.
+# stacked A~ blocks transposed, as the virtual clock passes them.
 WORKER_SHAPES = ((8, 64, 32), (8, 64, 32))
 
 

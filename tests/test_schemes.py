@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode.errors import (
-    DuplicateEvaluationPoint,
     InvalidGrid,
     InvalidParameters,
     NonDivisibleGroups,
@@ -18,6 +17,7 @@ from polycode.errors import (
     TooManyWorkersForField,
 )
 from polycode import schemes
+from polycode.cluster import StragglerPlan, run
 from polycode.field import FieldCtx, invert_matrix
 from polycode.matrixcore import FMatrix, ProblemShape, mulmod, transpose_mul
 from polycode.schemes import (
@@ -28,7 +28,6 @@ from polycode.schemes import (
     UncodedScheme,
     WorkerResult,
     _vandermonde,
-    compute_shares,
     get_scheme,
     systematic_generator,
     threshold,
@@ -148,14 +147,6 @@ class TestPolyScheme:
         shuffled = [results[i] for i in (4, 0, 2, 1, 3)]
         assert scheme.decode(shuffled, shares, self.shape5) == base
 
-    def test_duplicate_points_among_results(self):
-        a, b, _ = make_instance(self.shape5, F7)
-        scheme = PolyScheme(F7)
-        shares, results = all_results(scheme, a, b, self.shape5)
-        shares[1] = dataclasses.replace(shares[1], x=shares[0].x)
-        with pytest.raises(DuplicateEvaluationPoint):
-            scheme.decode(results, shares, self.shape5)
-
     def test_too_many_workers_for_field(self):
         shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=8)
         a, b, _ = make_instance(shape, F7)
@@ -265,6 +256,9 @@ class TestCachedCodes:
 
 
 class TestComputeShares:
+    """The virtual clock's worker products: one `mulmod` over the `_stacks`
+    of the responders, against `worker_compute` of their shares."""
+
     SHAPES = {
         "poly": ProblemShape(s=8, r=4, t=6, m=2, n=3, N=7),
         "mds1d": ProblemShape(s=8, r=4, t=6, m=2, n=3, N=9),
@@ -277,44 +271,49 @@ class TestComputeShares:
     def test_matches_worker_compute(self, name, ctx):
         shape = self.SHAPES[name]
         a, b, _ = make_instance(shape, ctx)
-        shares = get_scheme(name, ctx).encode(a, b, shape)
-        picked = shares[::-2]
-        assert compute_shares(picked) == [worker_compute(sh) for sh in picked]
+        scheme = get_scheme(name, ctx)
+        picked = scheme.encode(a, b, shape)[::-2]
+        a_coded, b_coded = scheme._stacks(a, b, shape, [sh.worker_id for sh in picked])
+        products = mulmod(a_coded.transpose(0, 2, 1), b_coded, ctx.q)
+        assert [FMatrix(c, ctx) for c in products] == [worker_compute(sh).c_tilde for sh in picked]
 
     def test_no_shares_no_results(self):
-        assert compute_shares([]) == []
+        for name in SCHEME_NAMES:
+            shape = self.SHAPES[name]
+            scheme = get_scheme(name, BIG)
+            a, b, _ = make_instance(shape, BIG)
+            a_coded, b_coded = scheme._stacks(a, b, shape, [])
+            assert a_coded.shape == (0, shape.s, shape.block_rows)
+            assert b_coded.shape == (0, shape.s, shape.block_cols)
+            assert scheme.encode(a, b, shape, []) == []
 
-    def _shares(self, ctx=BIG):
-        shape = self.SHAPES["poly"]
-        a, b, _ = make_instance(shape, ctx)
-        return PolyScheme(ctx).encode(a, b, shape)
+    @settings(deadline=None, max_examples=150)
+    @given(
+        name=st.sampled_from(SCHEME_NAMES),
+        ctx=st.sampled_from((F7, BIG, FieldCtx(2**61 - 1))),
+        data=st.data(),
+    )
+    def test_virtual_run_equals_the_list_path(self, name, ctx, data):
+        # The virtual clock's stacked encode, products and decode against
+        # the shares, `worker_compute` and list decode of its responders.
+        shape = self.SHAPES[name]
+        scheme = get_scheme(name, ctx)
+        a, b, oracle = make_instance(shape, ctx, seed=data.draw(st.integers(0, 99)))
+        delays = data.draw(st.lists(st.integers(0, 4), min_size=shape.N, max_size=shape.N))
+        plan = StragglerPlan(mode="per_worker", delays=tuple(map(float, delays)))
+        c, rep = run(scheme, a, b, shape, plan=plan)
+        shares = scheme.encode(a, b, shape, rep.responders)
+        assert c == scheme.decode([worker_compute(sh) for sh in shares], shares, shape) == oracle
 
-    def test_operands_in_other_fields(self):
-        shares = self._shares()
-        other = self._shares(F7)[1]
-        for bad in (other, dataclasses.replace(shares[1], b_tilde=other.b_tilde)):
-            with pytest.raises(ShapeMismatch):
-                compute_shares([shares[0], bad])
-
-    def test_row_counts_differ(self):
-        shares = self._shares()
-        short = FMatrix(shares[0].b_tilde.data[:-1], BIG)
-        with pytest.raises(ShapeMismatch):
-            compute_shares([dataclasses.replace(shares[0], b_tilde=short)])
-
-    def test_block_shapes_differ(self):
-        sh = self._shares()[1]
-
-        def doubled(mat, axis):
-            return FMatrix(np.concatenate([mat.data] * 2, axis=axis), BIG)
-
-        cases = (
-            dataclasses.replace(sh, b_tilde=doubled(sh.b_tilde, 1)),
-            dataclasses.replace(sh, a_tilde=doubled(sh.a_tilde, 0), b_tilde=doubled(sh.b_tilde, 0)),
-        )
-        for bad in cases:
-            with pytest.raises(ShapeMismatch):
-                compute_shares([self._shares()[0], bad])
+        # Any ids, repeated and unordered: the stacks hold the full encode's
+        # blocks of those workers, in that order.
+        full = scheme.encode(a, b, shape)
+        ids = data.draw(st.lists(st.integers(0, len(full) - 1), max_size=12))
+        a_coded, b_coded = scheme._stacks(a, b, shape, ids)
+        assert a_coded.shape == (len(ids), shape.s, shape.block_rows)
+        assert b_coded.shape == (len(ids), shape.s, shape.block_cols)
+        for i, at, bt in zip(ids, a_coded, b_coded, strict=True):
+            assert full[i].a_tilde == FMatrix(at, ctx) and full[i].b_tilde == FMatrix(bt, ctx)
 
 
 class TestSubsetEncode:
@@ -474,9 +473,10 @@ class TestProduct:
         a, b, _ = make_instance(self.shape9, BIG)
         scheme = ProductScheme(BIG)
         shares, results = all_results(scheme, a, b, self.shape9)
-        cells = {i: results[i].c_tilde.data for i in (0, 1, 2, 3)}
+        ids = [0, 1, 2, 3]
+        blocks = np.stack([results[i].c_tilde.data for i in ids])
         with pytest.raises(NotEnoughResults):
-            scheme._solve(cells, shares, self.shape9)
+            scheme._solve(ids, blocks, self.shape9)
 
     def test_invalid_grids_rejected(self):
         with pytest.raises(InvalidGrid):

@@ -2,7 +2,7 @@
 the caches of line coefficients and interpolation weights behind it.
 
 `reference_decode` keeps the earlier path as the oracle's twin: one Gauss-Jordan
-inverse and one `combine` per line (`fill_line`), Lagrange weights rebuilt on
+inverse and one `lincomb` per block (`fill_line`), Lagrange weights rebuilt on
 every call, and the output stitched from a grid of blocks. Peeling here is a
 plain sweep over the rows and columns to a fixed point, one line at a time,
 independent of the row and column rounds of `ProductScheme._solve`.
@@ -21,7 +21,7 @@ from polycode import schemes
 from polycode.convolution import conv_decode, conv_direct, conv_encode, conv_worker_compute
 from polycode.errors import DuplicateEvaluationPoint, NotEnoughResults
 from polycode.field import FieldCtx, invert_matrix, lagrange_weight_matrix
-from polycode.matrixcore import FMatrix, ProblemShape, combine, transpose_mul
+from polycode.matrixcore import FMatrix, ProblemShape, lincomb, transpose_mul
 from polycode.schemes import (
     SCHEME_NAMES,
     PolyScheme,
@@ -29,9 +29,9 @@ from polycode.schemes import (
     WorkerResult,
     _interpolation_weights,
     _line_coeffs,
-    compute_shares,
     get_scheme,
     systematic_generator,
+    worker_compute,
 )
 
 FIELDS = (FieldCtx(7), FieldCtx(257), FieldCtx(2**31 - 1), FieldCtx(2**61 - 1))
@@ -46,7 +46,7 @@ def fill_line(gen, line, cells, want, ctx):
     have = [j for j, i in enumerate(line) if i in cells][: len(rows[0])]
     inv = invert_matrix([rows[j] for j in have], q)
     coeffs = [[sum(w * v for w, v in zip(rows[j], col)) % q for col in zip(*inv)] for j in want]
-    return combine(coeffs, [cells[line[j]] for j in have])
+    return [lincomb([cells[line[j]] for j in have], row) for row in coeffs]
 
 
 def peel_sweep(cells, side, m, gen, ctx):
@@ -81,8 +81,8 @@ def reference_decode(scheme, results, shares, shape):
         picked = sorted(cells)[: m * n]
         x_of = {s.worker_id: s.x for s in shares}
         weights = lagrange_weight_matrix([x_of[i] for i in picked], ctx)
-        coeffs = combine([weights[j + k * m] for j in range(m) for k in range(n)],
-                         [cells[i] for i in picked])
+        coeffs = [lincomb([cells[i] for i in picked], weights[j + k * m])
+                  for j in range(m) for k in range(n)]
         grid = [coeffs[j * n : (j + 1) * n] for j in range(m)]
     elif scheme.name == "mds1d":
         g = shape.N // n
@@ -127,7 +127,7 @@ def instance(scheme, shape, seed):
     a = FMatrix.random(shape.s, shape.r, scheme.ctx, rng)
     b = FMatrix.random(shape.s, shape.t, scheme.ctx, rng)
     shares = scheme.encode(a, b, shape)
-    return shares, compute_shares(shares), transpose_mul(a, b)
+    return shares, [worker_compute(sh) for sh in shares], transpose_mul(a, b)
 
 
 @settings(deadline=None, max_examples=400)
