@@ -5,6 +5,12 @@ kept canonical in [0, q), so scalar products are exact; callers must pass
 Python ints, never fixed-width numpy scalars, which would wrap silently.
 Matrices of field elements are int64 arrays, multiplied exactly by
 `matrixcore.mulmod`, whose limb bounds need q < 2**62.
+
+Reed-Solomon decoding with errors solves Gao's key equation (S. Gao, "A new
+algorithm for decoding Reed-Solomon codes", 2003): one interpolation through
+all N points, then a partial extended Euclid against prod (x - x_i), O(N^2)
+operations in all. `bw_decode` decodes one word; `schemes` runs the same core
+on the stacked interpolants of a whole result block.
 """
 
 from __future__ import annotations
@@ -61,6 +67,19 @@ def as_int(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidParameters(f"{name} must be an integer, got {value!r}") from None
+
+
+def field_ints(values, q: int) -> list:
+    """Each of `values` as a Python int in [0, q). A value that int(v) does
+    not equal, such as 1.5 or "2", raises InvalidParameters, as does one that
+    int() rejects; an integral float such as 2.0 is kept."""
+    try:
+        ints = [int(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameters("field entries must be finite numbers") from None
+    if any(i != v for i, v in zip(ints, values)):
+        raise InvalidParameters("field entries must be integers")
+    return [i % q for i in ints]
 
 
 def as_natural(value, name: str) -> int:
@@ -144,6 +163,23 @@ def _check_distinct(xs, ctx):
         seen.add(x)
 
 
+def _points(points, q: int) -> tuple:
+    """The x values and the y values of (x, y) pairs, through `field_ints`."""
+    try:
+        pairs = [(x, y) for x, y in points]
+    except (TypeError, ValueError):
+        raise InvalidParameters("points must be (x, y) pairs") from None
+    return field_ints([x for x, _ in pairs], q), field_ints([y for _, y in pairs], q)
+
+
+def _master(xs, q: int) -> list:
+    """M(x) = prod (x - x_i), of degree len(xs), lowest degree first."""
+    master = [1]
+    for x in xs:
+        master = [(lo - x * hi) % q for lo, hi in zip([0] + master, master + [0])]
+    return master
+
+
 def lagrange_weight_matrix(xs: list, ctx: FieldCtx) -> list:
     """Weights W with coeffs[d] = sum_i W[d][i] * y_i for interpolation at xs.
 
@@ -155,14 +191,7 @@ def lagrange_weight_matrix(xs: list, ctx: FieldCtx) -> list:
     _check_distinct(xs, ctx)
     q = ctx.q
     k = len(xs)
-    # Master polynomial M(x) = prod (x - x_i), degree k, lowest first.
-    master = [1]
-    for x in xs:
-        nxt = [0] * (len(master) + 1)
-        for d, c in enumerate(master):
-            nxt[d + 1] = (nxt[d + 1] + c) % q
-            nxt[d] = (nxt[d] - c * x) % q
-        master = nxt
+    master = _master(xs, q)
     w = [[0] * k for _ in range(k)]
     for i, x in enumerate(xs):
         # M(x) / (x - x_i) by synthetic division, highest degree first.
@@ -182,10 +211,9 @@ def lagrange_weight_matrix(xs: list, ctx: FieldCtx) -> list:
 
 def interpolate(points: list, ctx: FieldCtx) -> Poly:
     """Unique polynomial of degree < len(points) through all (x, y) pairs."""
-    if not points:
+    xs, ys = _points(points, ctx.q)
+    if not xs:
         raise InvalidParameters("interpolation needs at least one point")
-    xs = [x % ctx.q for x, _ in points]
-    ys = [y % ctx.q for _, y in points]
     w = lagrange_weight_matrix(xs, ctx)
     coeffs = tuple(sum(wi * yi for wi, yi in zip(row, ys)) % ctx.q for row in w)
     return Poly(coeffs)
@@ -243,78 +271,101 @@ def invert_matrix(mat: list, q: int) -> list:
     return [row[k:] for row in aug]
 
 
-def _poly_divmod(num: list, den: list, q: int):
-    """Quotient and remainder of num / den over F_q (coefficient lists, lowest first)."""
-    den = list(den)
-    while den and den[-1] % q == 0:
-        den.pop()
-    if not den:
-        raise DivisionByZero("polynomial division by zero")
-    rem = [c % q for c in num]
+def _poly_divmod(num, den: list, q: int):
+    """Quotient and remainder of num / den over F_q, as coefficient lists
+    lowest degree first; den's last coefficient is its nonzero leading one.
+    The remainder has len(den) - 1 entries."""
+    rem = list(num)
     dd = len(den) - 1
-    lead_inv = pow(den[-1], q - 2, q)
+    lead_inv = pow(den[-1], -1, q)
     quot = [0] * max(len(rem) - dd, 0)
     for d in range(len(rem) - 1, dd - 1, -1):
         c = rem[d] % q
         if c:
             f = c * lead_inv % q
             quot[d - dd] = f
-            for j, dc in enumerate(den):
-                rem[d - dd + j] = (rem[d - dd + j] - f * dc) % q
-    return quot, rem
+            for j in range(dd):
+                rem[d - dd + j] -= f * den[j]
+    return quot, [c % q for c in rem[:dd]]
+
+
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _key_equation(master, interpolant: list, k: int, e: int, q: int):
+    """Gao's key equation: (P, v) for the polynomial P of degree < k that
+    agrees with at least n - e of n points, and an error locator v whose
+    roots among the points are where P disagrees; None if there is no P.
+
+    `master` is M = prod (x - x_i) over the n distinct points, of degree n,
+    and `interpolant` the coefficients of R, the interpolant through them of
+    degree < n, both lowest degree first and in [0, q); 2e <= n - k. The
+    extended Euclid on (M, R) keeps r_j = u_j M + v_j R and stops at the
+    first remainder of degree < n - e (see `bw_decode`). P is r_j / v_j when
+    v_j divides r_j and the quotient has degree < k. P is padded to k
+    coefficients; neither argument is modified.
+    """
+    stop = len(master) - 1 - e
+    r0, r1 = master, _trim(list(interpolant))
+    v0, v1 = [], [1]
+    while len(r1) > stop:
+        quot, rem = _poly_divmod(r0, r1, q)
+        prod = [0] * (len(quot) + len(v1) - 1)
+        for i, a in enumerate(quot):
+            for j, b in enumerate(v1):
+                prod[i + j] += a * b
+        # deg(quot v1) > deg v0, so v0 - quot v1 keeps a nonzero leading term.
+        v0, v1 = v1, [(a - b) % q for a, b in zip(v0 + [0] * (len(prod) - len(v0)), prod)]
+        r0, r1 = r1, _trim(rem)
+    quot, rem = _poly_divmod(r1, v1, q)
+    if any(rem) or len(quot) > k:
+        return None
+    return quot + [0] * (k - len(quot)), v1
 
 
 def bw_decode(points: list, degree_bound: int, max_errors: int, ctx: FieldCtx) -> Poly:
-    """Berlekamp-Welch decoding of a degree < degree_bound polynomial.
+    """Reed-Solomon decoding of a degree < degree_bound polynomial.
 
     Recovers the unique polynomial agreeing with at least N - max_errors of
-    the N given (x, y) points; raises DecodingFailure when no such polynomial
-    exists. So up to max_errors corrupted values are corrected and up to
-    N - degree_bound - max_errors are detected; more can land within
-    max_errors of another polynomial, which is then returned.
+    the N given (x, y) points, the one Berlekamp-Welch finds; raises
+    DecodingFailure when no such polynomial exists. So up to max_errors
+    corrupted values are corrected and up to N - degree_bound - max_errors
+    are detected; more can land within max_errors of another polynomial,
+    which is then returned. The counts must be integers and the points pairs
+    of integers (InvalidParameters), with distinct x
+    (DuplicateEvaluationPoint).
+
+    It solves Gao's key equation in O(N^2). With k = degree_bound,
+    e = max_errors and 2e <= N - k, R interpolates the N points and
+    M = prod (x - x_i). The extended Euclid on (M, R) keeps
+    r_j = u_j M + v_j R, with deg v_j = N - deg r_(j-1), and stops at the
+    first remainder of degree < N - e; so deg v_j <= e. If v_j divides r_j
+    and P = r_j / v_j has degree < k, P is returned. It agrees with at least
+    N - e points: M vanishes at every x_i, so v_j(x_i) P(x_i) = r_j(x_i) =
+    v_j(x_i) y_i, and P(x_i) = y_i wherever v_j(x_i) != 0, which fails at
+    most deg v_j <= e times. Conversely, if such a P exists, let E be the
+    locator of the points where it disagrees: E P = E R mod M, with
+    deg E <= e, deg EP < k + e <= N - e and deg EP + deg E < N. Such a pair
+    is a polynomial multiple of (r_j, v_j) (Gao, 2003), so r_j / v_j = P
+    and nothing is missed.
     """
     q = ctx.q
-    n = len(points)
-    k = degree_bound
-    e = max_errors
+    k = as_int(degree_bound, "degree_bound")
+    e = as_int(max_errors, "max_errors")
+    xs, ys = _points(points, q)
+    n = len(xs)
     if k < 1 or e < 0:
         raise InvalidParameters("degree bound must be >= 1 and max_errors >= 0")
     if 2 * e > n - k:
         raise InvalidParameters(f"2e = {2 * e} exceeds N - k = {n - k}")
-    xs = [x % q for x, _ in points]
-    ys = [y % q for _, y in points]
-    _check_distinct(xs, ctx)
-    if e == 0:
-        cand = interpolate(list(zip(xs[:k], ys[:k])), ctx)
-    else:
-        # Find Q (deg < k+e) and monic E (deg e) with Q(x_i) = y_i E(x_i):
-        # unknowns [Q_0..Q_{k+e-1}, E_0..E_{e-1}], RHS y_i x_i^e.
-        rows = []
-        for x, y in zip(xs, ys):
-            xp = [1]
-            for _ in range(k + e - 1):
-                xp.append(xp[-1] * x % q)
-            row = list(xp[: k + e])
-            row += [(-y * xp[j]) % q for j in range(e)]
-            row.append(y * pow(x, e, q) % q)
-            rows.append(row)
-        sol = solve_linear(rows, q)
-        if sol is None:
-            raise DecodingFailure("no Berlekamp-Welch solution within the error radius")
-        qcoef = sol[: k + e]
-        ecoef = sol[k + e :] + [1]
-        cand_coeffs, rem = _poly_divmod(qcoef, ecoef, q)
-        if any(c % q for c in rem):
-            raise DecodingFailure("error locator does not divide the quotient")
-        cand = Poly(tuple(c % q for c in cand_coeffs[:k]) or (0,))
-        if cand.degree() >= k or len(cand_coeffs) > k and any(c % q for c in cand_coeffs[k:]):
-            raise DecodingFailure("candidate exceeds the degree bound")
-    agreement = sum(1 for x, y in zip(xs, ys) if cand.evaluate(x, ctx) == y)
-    if agreement < n - e:
-        raise DecodingFailure(f"candidate agrees with only {agreement} of {n} points")
-    # Pad to exactly k coefficients for positional access by callers.
-    coeffs = tuple(cand.coeff(d) for d in range(k))
-    return Poly(coeffs)
+    interpolant = interpolate(list(zip(xs, ys)), ctx).coeffs
+    found = _key_equation(_master(xs, q), interpolant, k, e, q)
+    if found is None:
+        raise DecodingFailure(f"no polynomial of degree < {k} agrees with {n - e} of {n} points")
+    return Poly(tuple(found[0]))
 
 
 def check_embedding_bound(s: int, max_a: float, max_b: float, precision_bits: int, ctx: FieldCtx) -> None:

@@ -31,7 +31,7 @@ from .errors import (
     NonDivisiblePartition,
     ShapeMismatch,
 )
-from .field import FieldCtx, as_int
+from .field import FieldCtx, as_int, field_ints
 
 # Integers up to 2**53 are exact in float64.
 _EXACT_BITS = 53
@@ -42,22 +42,16 @@ def canonical(values, q: int) -> np.ndarray:
 
     Integer ndarrays that fit in int64 are reduced in numpy. Anything else
     (nested lists, Python ints of any size, floats, objects) goes through
-    int(v) % q, so no value is wrapped or rounded in a fixed-width type
-    before it is reduced. An entry that int(v) does not equal, such as 1.5,
-    raises InvalidParameters; an integral float such as 2.0 is kept.
+    `field_ints`, int(v) % q, so no value is wrapped or rounded in a
+    fixed-width type before it is reduced. An entry that int(v) does not
+    equal, such as 1.5, raises InvalidParameters; an integral float such as
+    2.0 is kept.
     """
     arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
     kind, size = arr.dtype.kind, arr.dtype.itemsize
     if kind in "bi" or (kind == "u" and size < 8):
         return np.mod(arr.astype(np.int64), q)
-    flat = arr.reshape(-1)
-    try:
-        ints = [int(v) for v in flat]
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameters("field entries must be finite numbers") from None
-    if any(i != v for i, v in zip(ints, flat)):
-        raise InvalidParameters("field entries must be integers")
-    return np.array([i % q for i in ints], dtype=np.int64).reshape(arr.shape)
+    return np.array(field_ints(arr.reshape(-1), q), dtype=np.int64).reshape(arr.shape)
 
 
 def _limbs(bits: int, k: int) -> tuple:

@@ -32,7 +32,8 @@ from .errors import (
     ShapeMismatch,
     TooManyWorkersForField,
 )
-from .field import FieldCtx, as_int, bw_decode, invert_matrix, lagrange_weight_matrix
+from .field import (FieldCtx, Poly, _key_equation, _master, as_int, invert_matrix,
+                    lagrange_weight_matrix)
 from .matrixcore import (
     FMatrix,
     ProblemShape,
@@ -189,15 +190,35 @@ def _assemble(blocks: np.ndarray, shape: ProblemShape, ctx: FieldCtx) -> FMatrix
 _FOLD_SEED = 2017
 
 
-def _interleaved_decode(xs: list, received: np.ndarray, k: int, t: int, ctx: FieldCtx):
+@functools.lru_cache(maxsize=32)
+def _fold(size: int, q: int) -> np.ndarray:
+    """The size x 1 fold vector of `_interleaved_decode`, drawn from
+    `_FOLD_SEED`, built once per (size, q) and read-only."""
+    fold = np.random.default_rng(_FOLD_SEED).integers(0, q, size=(size, 1), dtype=np.int64)
+    fold.flags.writeable = False
+    return fold
+
+
+@functools.lru_cache(maxsize=32)
+def _master_of(xs: tuple, q: int) -> tuple:
+    """prod (x - x_i) over the points xs, built once per (points, q)."""
+    return tuple(_master(xs, q))
+
+
+def _interleaved_decode(xs: list, received: np.ndarray, interp: np.ndarray, master: tuple,
+                        k: int, t: int, ctx: FieldCtx):
     """Collaborative decoding of an interleaved Reed-Solomon word.
 
-    Row i of the N x E array `received` holds worker i's entries; each column
-    is a codeword of dimension k, and its errors sit at the faulty workers,
-    which all columns share. A random combination of the columns keeps those
-    error positions, so one Berlekamp-Welch solve on it locates them. The
-    first k rows it found correct then give every column's coefficients with
-    one weight product (Bleichenbacher, Kiayias and Yung, 2003).
+    Row i of the N x E array `received` holds worker i's entries, column j
+    of `interp` the coefficients of the interpolant through column j, and
+    `master` is prod (x - x_i) over the points xs. Each column is a codeword
+    of dimension k, and its errors sit at the faulty workers, which all
+    columns share. A random combination of the columns keeps those error
+    positions, so one key-equation solve on the same combination of the
+    interpolants locates them: the workers where its error locator does not
+    vanish are clean. The first k of them then give every column's
+    coefficients with one weight product (Bleichenbacher, Kiayias and Yung,
+    2003).
 
     Returns the k x E coefficients, lowest degree first, only if re-encoding
     them agrees with every column at N - t workers or more: then each column
@@ -206,14 +227,12 @@ def _interleaved_decode(xs: list, received: np.ndarray, k: int, t: int, ctx: Fie
     error, or the columns err at different workers.
     """
     q = ctx.q
-    rng = np.random.default_rng(_FOLD_SEED)
-    fold = rng.integers(0, q, size=(received.shape[1], 1), dtype=np.int64)
-    word = mulmod(received, fold, q)[:, 0].tolist()
-    try:
-        poly = bw_decode(list(zip(xs, word)), k, t, ctx)
-    except DecodingFailure:
+    word = mulmod(interp, _fold(received.shape[1], q), q)[:, 0].tolist()
+    found = _key_equation(master, word, k, t, q)
+    if found is None:
         return None
-    clean = [i for i, (x, w) in enumerate(zip(xs, word)) if poly.evaluate(x, ctx) == w][:k]
+    locator = Poly(tuple(found[1]))
+    clean = [i for i, x in enumerate(xs) if locator.evaluate(x, ctx)][:k]
     weights = _interpolation_weights([xs[i] for i in clean], ctx)
     coeffs = mulmod(weights, received[clean], q)
     vander = _vandermonde(xs, range(k), ctx)
@@ -221,15 +240,21 @@ def _interleaved_decode(xs: list, received: np.ndarray, k: int, t: int, ctx: Fie
     return coeffs if (agree >= len(xs) - t).all() else None
 
 
-def _entrywise_decode(xs: list, received: np.ndarray, k: int, t: int, ctx: FieldCtx) -> np.ndarray:
-    """Reference decoder: one Berlekamp-Welch solve per column of `received`.
+def _entrywise_decode(interp: np.ndarray, master: tuple, k: int, t: int, q: int) -> np.ndarray:
+    """Fallback decoder: one key-equation solve per column of `interp`, the
+    stacked interpolants of the received word, as in `_interleaved_decode`.
 
     Returns the k x E coefficients, or raises DecodingFailure at the first
     column with no codeword within distance t.
     """
-    # Python ints: field.py arithmetic must never see fixed-width scalars.
-    polys = [bw_decode(list(zip(xs, col)), k, t, ctx).coeffs for col in received.T.tolist()]
-    return np.array(polys, dtype=np.int64).T
+    coeffs = []
+    for col in interp.T:
+        # Python ints: field.py arithmetic must never see fixed-width scalars.
+        found = _key_equation(master, col.tolist(), k, t, q)
+        if found is None:
+            raise DecodingFailure(f"an entry has no codeword within distance {t}")
+        coeffs.append(found[0])
+    return np.array(coeffs, dtype=np.int64).T
 
 
 class Scheme:
@@ -405,30 +430,43 @@ class PolyScheme(Scheme):
 
         Each output entry is a Reed-Solomon codeword of length N and dimension
         K = required_results. It decodes to the unique polynomial of degree
-        < K that agrees with at least N - t workers, the one entrywise
-        Berlekamp-Welch returns; DecodingFailure is raised when some entry
-        has none. t defaults to floor((N - K)/2), the largest value allowed;
-        a t outside [0, floor((N - K)/2)] raises InvalidParameters.
+        < K that agrees with at least N - t workers, the one `bw_decode` of
+        that entry returns; DecodingFailure is raised when some entry has
+        none. t defaults to floor((N - K)/2), the largest value allowed; a t
+        that is not an integer in [0, floor((N - K)/2)] raises
+        InvalidParameters.
 
         Up to t wrong workers are corrected, and up to N - K - t are detected
         (DecodingFailure). More than N - K - t coordinated faults can put the
         received word within t of a wrong codeword, which is then returned
         silently. t = 0 is pure detection of up to N - K faulty workers.
 
-        A faulty worker corrupts its whole block, so all entries share one
-        set of error positions: the faulty workers are located once and the
-        entries decoded together (`_interleaved_decode`). Entry-by-entry
-        Berlekamp-Welch runs only when that result fails its check.
+        All N results are interpolated at once, one weight product giving
+        every entry's interpolant. If none has degree K or more, no worker
+        erred. Otherwise a faulty worker corrupts its whole block, so all
+        entries share one set of error positions: the faulty workers are
+        located once, by Gao's key equation on a random fold of the
+        interpolants, and the entries decoded together
+        (`_interleaved_decode`). The key equation runs entry by entry only
+        when that result fails its check.
         """
         ids, blocks = self._select(results, shares, shape)
         if len(ids) != shape.N:
             raise NotEnoughResults("error decoding needs results from all N workers")
         k = self.required_results(shape)
-        t = (shape.N - k) // 2 if max_errors is None else max_errors
+        radius = (shape.N - k) // 2
+        t = radius if max_errors is None else as_int(max_errors, "max_errors")
+        if not 0 <= t <= radius:
+            raise InvalidParameters(f"max_errors={t} is outside [0, (N - K)/2 = {radius}]")
+        q = self.ctx.q
         received = blocks.reshape(len(ids), -1)  # worker i's point is i
-        coeffs = _interleaved_decode(ids, received, k, t, self.ctx)
-        if coeffs is None:
-            coeffs = _entrywise_decode(ids, received, k, t, self.ctx)
+        interp = mulmod(_interpolation_weights(ids, self.ctx), received, q)
+        coeffs = interp[:k]
+        if interp[k:].any():
+            master = _master_of(tuple(ids), q)
+            coeffs = _interleaved_decode(ids, received, interp, master, k, t, self.ctx)
+            if coeffs is None:
+                coeffs = _entrywise_decode(interp, master, k, t, q)
         exps = [j + k * shape.m for j in range(shape.m) for k in range(shape.n)]
         return _assemble(coeffs[exps], shape, self.ctx)
 
@@ -645,10 +683,13 @@ def threshold(name: str, shape: ProblemShape, ctx: FieldCtx = None) -> int:
 
 def threshold_table(m: int, n: int, n_range, ctx: FieldCtx = None) -> list:
     """Rows (N, scheme, threshold) for every scheme defined at each N, for
-    integers m, n >= 1."""
+    integers m, n >= 1 and N >= 1."""
     m, n = as_int(m, "m"), as_int(n, "n")
     if min(m, n) < 1:
         raise InvalidParameters(f"m and n must be positive, got m={m}, n={n}")
+    n_range = [as_int(big_n, "N") for big_n in n_range]
+    if min(n_range, default=1) < 1:
+        raise InvalidParameters(f"N must be positive, got {min(n_range)}")
     ctx = ctx or FieldCtx()
     rows = []
     for big_n in n_range:

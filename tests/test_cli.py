@@ -57,6 +57,14 @@ class TestThresholdCommand:
         assert captured.err == f"error: m and n must be positive, got m={m}, n={n}\n"
 
 
+    @pytest.mark.parametrize("spec", ("0", "-2", "0..3"))
+    def test_nonpositive_worker_counts_are_an_error(self, spec, capsys):
+        assert main(["threshold", "--m", "2", "--n", "2", "--N", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: N must be positive")
+
+
 class TestRunCommand:
     ARGS = ["run", "--scheme", "poly", "--N", "5", "--m", "2", "--n", "2",
             "--s", "8", "--r", "4", "--t", "4", "--verify"]

@@ -1,5 +1,6 @@
 """PolyScheme.decode_with_errors against the entry-by-entry Berlekamp-Welch
-reference, under adversarial faults.
+reference (`bw_reference`, one linear solve per entry), under adversarial
+faults.
 
 The fault patterns are random blocks per faulty worker, one shared offset,
 faults at a different set of workers in every entry (which defeats locating
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockgrid import assemble_blocks
+from bw_reference import bw_reference
 from polycode import schemes
 from polycode.errors import DecodingFailure, InvalidParameters, PolycodeError, ShapeMismatch
-from polycode.field import FieldCtx, bw_decode
+from polycode.field import FieldCtx
 from polycode.matrixcore import FMatrix, ProblemShape, transpose_mul
 from polycode.schemes import PolyScheme, WorkerResult, worker_compute
 
@@ -34,6 +36,7 @@ BIG = FieldCtx()
 
 def entrywise_reference(scheme, results, shares, shape, t):
     """The decoder before collaborative decoding: one BW solve per entry."""
+    q = scheme.ctx.q
     ordered = sorted(results, key=lambda r: r.worker_id)
     x_of = {s.worker_id: s.x for s in shares}
     xs = [x_of[r.worker_id] for r in ordered]
@@ -44,9 +47,9 @@ def entrywise_reference(scheme, results, shares, shape, t):
     grids = {jk: [[0] * bc for _ in range(br)] for jk in exps}
     for u in range(br):
         for v in range(bc):
-            poly = bw_decode([(x, val[u][v]) for x, val in zip(xs, values)], k, t, scheme.ctx)
+            coeffs = bw_reference([(x, val[u][v]) for x, val in zip(xs, values)], k, t, q)
             for jk, d in exps.items():
-                grids[jk][u][v] = poly.coeff(d)
+                grids[jk][u][v] = coeffs[d]
     return assemble_blocks(
         [[FMatrix(grids[(j, kk)], scheme.ctx) for kk in range(shape.n)] for j in range(shape.m)]
     )
@@ -158,13 +161,26 @@ def count_calls(monkeypatch, name):
 
 
 def test_worker_faults_take_one_bw_solve(monkeypatch):
+    # Four faulty workers: the whole block takes one key-equation solve, on
+    # the folded interpolant, and no solve per entry.
     scheme = PolyScheme(BIG)
     shares, results, product = instance(scheme, SHAPE12, np.random.default_rng(1))
     xs = [sh.x for sh in shares]
     results = corrupt(results, "random", 4, 4, 4, xs, BIG, np.random.default_rng(2))
-    bw_calls = count_calls(monkeypatch, "bw_decode")
+    solves = count_calls(monkeypatch, "_key_equation")
     assert scheme.decode_with_errors(results, shares, SHAPE12) == product
-    assert len(bw_calls) == 1
+    assert len(solves) == 1
+
+
+@pytest.mark.parametrize("max_errors", [None, 0, 4])
+def test_clean_results_take_no_solve(monkeypatch, max_errors):
+    # With no faulty worker every entry's interpolant has degree < K, and the
+    # decode ends there.
+    scheme = PolyScheme(BIG)
+    shares, results, product = instance(scheme, SHAPE12, np.random.default_rng(8))
+    solves = count_calls(monkeypatch, "_key_equation")
+    assert scheme.decode_with_errors(results, shares, SHAPE12, max_errors=max_errors) == product
+    assert solves == []
 
 
 def test_per_entry_faults_take_the_fallback(monkeypatch):
@@ -244,6 +260,14 @@ def test_max_errors_range():
     for t in (-1, 5):
         with pytest.raises(InvalidParameters):
             scheme.decode_with_errors(results, shares, SHAPE12, max_errors=t)
+
+
+@pytest.mark.parametrize("max_errors", [1.5, "2", 2.0])
+def test_max_errors_must_be_an_integer(max_errors):
+    scheme = PolyScheme(BIG)
+    shares, results, _ = instance(scheme, SHAPE12, np.random.default_rng(6))
+    with pytest.raises(InvalidParameters):
+        scheme.decode_with_errors(results, shares, SHAPE12, max_errors=max_errors)
 
 
 @pytest.mark.parametrize("bad", [(1, 4), (4, 2)])

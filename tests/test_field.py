@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bw_reference import bw_reference
 from polycode.errors import (
     DecodingFailure,
     DivisionByZero,
@@ -216,6 +219,76 @@ class TestBerlekampWelch:
         _, pts = self._random_poly_points(rng, 12, 4)
         with pytest.raises(InvalidParameters):
             bw_decode(pts, 4, 5, BIG)
+
+
+def _decoded(decode):
+    """The decoded coefficients, or DecodingFailure."""
+    try:
+        return list(decode())
+    except DecodingFailure:
+        return DecodingFailure
+
+
+@settings(deadline=None, max_examples=600)
+@given(
+    q=st.sampled_from((7, 257, 2**31 - 1, 2**61 - 1)),
+    pattern=st.sampled_from(("random", "offset", "forged")),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_bw_decode_matches_the_linear_system(q, pattern, seed, data):
+    # Gao's key equation against Berlekamp-Welch by one linear solve: the
+    # same coefficients or the same DecodingFailure, for f = 0..n wrong
+    # values, at every allowed error budget e, n = q = 7 included.
+    ctx = FieldCtx(q)
+    n = data.draw(st.integers(1, min(16, q)), label="n")
+    k = data.draw(st.integers(1, n), label="k")
+    e = data.draw(st.integers(0, (n - k) // 2), label="e")
+    f = data.draw(st.integers(0, n), label="f")
+    rng = random.Random(seed)
+    xs = rng.sample(range(q), n)
+    p = Poly(tuple(rng.randrange(q) for _ in range(k)))
+    ys = [p.evaluate(x, ctx) for x in xs]
+    # Forged: the wrong values are those of another polynomial of degree < k,
+    # so from f >= n - e on the decoder must return it.
+    other = Poly(tuple(rng.randrange(q) for _ in range(k)))
+    offset = rng.randrange(1, q)
+    for i in rng.sample(range(n), f):
+        if pattern == "random":
+            ys[i] = rng.randrange(q)
+        elif pattern == "offset":
+            ys[i] = (ys[i] + offset) % q
+        else:
+            ys[i] = other.evaluate(xs[i], ctx)
+    pts = list(zip(xs, ys))
+    got = _decoded(lambda: bw_decode(pts, k, e, ctx).coeffs)
+    assert got == _decoded(lambda: bw_reference(pts, k, e, q))
+    if f <= e:
+        assert got == list(p.coeffs)
+
+
+class TestBadDecoderInputs:
+    PTS = [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize(
+        "points, k, e",
+        [
+            ([("a", 1), (1, 2)], 1, 0),
+            (None, 1, 0),
+            (PTS, 1.5, 0),
+            (PTS, 1, "0"),
+            # A non-integer value is a bad input, not a corrupted one.
+            ([(0, 1.5), (1, 2)], 1, 0),
+        ],
+        ids=("str_point", "none_points", "float_degree_bound", "str_max_errors", "float_value"),
+    )
+    def test_bw_decode(self, points, k, e):
+        with pytest.raises(InvalidParameters):
+            bw_decode(points, k, e, BIG)
+
+    def test_interpolate(self):
+        with pytest.raises(InvalidParameters):
+            interpolate([("a", 1)], BIG)
 
 
 class TestRealEmbedding:
