@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: threshold, run, sim, conv, verify. All randomness hangs off a
+Subcommands: threshold, run, sim, conv, verify, each taking only the shared
+options it reads (--q, --seed, --format, --out). All randomness hangs off a
 single seed; outputs are byte-identical across runs with the same arguments.
 
-Exit codes: 0 ok, 1 validation error, 2 decoding failure, 3 internal error.
+Exit codes: 0 ok, 1 validation or usage error, 2 decoding failure, 3 internal error.
 """
 
 from __future__ import annotations
@@ -79,22 +80,15 @@ def _emit(text: str, out: str = None) -> None:
 
 
 def _make_plan(args) -> StragglerPlan:
-    name = args.plan
-    if name == "none":
+    if args.plan == "none":
         return StragglerPlan(mode="none")
-    if name == "slow1x2":
-        return StragglerPlan(mode="slow_random", factor=2.0)
-    if name == "slow_random":
-        return StragglerPlan(mode="slow_random", factor=args.factor)
-    raise PolycodeError(f"unknown plan {name!r}; choose none, slow1x2 or slow_random")
+    return StragglerPlan(mode="slow_random", factor=2.0 if args.plan == "slow1x2" else args.factor)
 
 
 def _make_model(args) -> LatencyModel:
-    if args.model == "shifted_exp":
-        return LatencyModel("shifted_exponential", shift=args.shift, rate=args.rate)
     if args.model == "deterministic":
         return LatencyModel("deterministic", value=args.value)
-    raise PolycodeError(f"unknown model {args.model!r}")
+    return LatencyModel("shifted_exponential", shift=args.shift, rate=args.rate)
 
 
 def cmd_threshold(args) -> int:
@@ -130,10 +124,8 @@ def cmd_run(args) -> int:
     c, report = run(
         scheme, a, b, shape, plan=_make_plan(args), seed=args.seed, clock=args.clock
     )
-    if args.verify:
-        oracle = transpose_mul(a, b)
-        if c != oracle:
-            raise DecodingFailure("decoded output differs from the direct product")
+    if args.verify and c != transpose_mul(a, b):
+        raise DecodingFailure("decoded output differs from the direct product")
     if args.format == "text":
         lines = [
             f"scheme          {report.scheme}",
@@ -151,15 +143,7 @@ def cmd_run(args) -> int:
 
 def cmd_sim(args) -> int:
     ctx = FieldCtx(args.q)
-    shape = ProblemShape(
-        s=max(args.m, args.n),
-        r=args.m,
-        t=args.n,
-        m=args.m,
-        n=args.n,
-        N=args.N,
-        allow_wide=True,
-    )
+    shape = ProblemShape(s=max(args.m, args.n), r=args.m, t=args.n, m=args.m, n=args.n, N=args.N)
     names = [s.strip() for s in args.schemes.split(",") if s.strip()]
     report = dominance_check(names, _make_model(args), shape, args.trials, args.seed, ctx)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -214,9 +198,9 @@ def cmd_conv(args) -> int:
     if len(a) // args.m != len(b) // args.n:
         raise PolycodeError("block lengths differ; inputs must split into equal blocks")
     shares = conv_encode(split_vector(a, args.m, ctx), split_vector(b, args.n, ctx), args.N, ctx)
-    results = [conv_worker_compute(sh, ctx) for sh in shares]
     need = args.m + args.n - 1
-    c = conv_decode(results[:need], args.m, args.n, ctx)
+    results = [conv_worker_compute(sh, ctx) for sh in shares[:need]]
+    c = conv_decode(results, args.m, args.n, ctx)
     exact = bool((c == conv_direct(a, b, ctx)).all())
     payload = {
         "m": args.m,
@@ -254,18 +238,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=(), seed=True):
+        """The shared options a command reads: formats[0] is the default."""
         p.add_argument("--q", type=int, default=_default_q(), help="prime field modulus")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("csv", "json", "text"), default="json")
-        p.add_argument("--out", default=None, help="write output to this file")
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+            p.add_argument("--out", default=None, help="write output to this file")
 
     p = sub.add_parser("threshold", help="recovery-threshold table across an N range")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", required=True, help="N value or range, e.g. 400 or 100..500:50")
-    common(p)
-    p.set_defaults(func=cmd_threshold, format="csv")
+    common(p, ("csv", "json", "text"), seed=False)
+    p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("run", help="one end-to-end coded multiplication")
     p.add_argument("--scheme", choices=SCHEME_NAMES, default="poly")
@@ -277,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=32)
     p.add_argument("--A", default=None, help="matrix file for A (text format)")
     p.add_argument("--B", default=None, help="matrix file for B (text format)")
-    p.add_argument("--plan", default="none", help="none, slow1x2 or slow_random")
+    p.add_argument("--plan", choices=("none", "slow1x2", "slow_random"), default="none")
     p.add_argument("--factor", type=float, default=2.0)
     p.add_argument("--clock", choices=("virtual", "threads"), default="virtual")
     p.add_argument("--verify", action="store_true", help="check against the direct product")
-    common(p)
+    common(p, ("json", "text"))
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sim", help="Monte-Carlo latency simulation and CCDFs")
@@ -306,13 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", default=None, help="vector file for a (text format)")
     p.add_argument("--B", default=None, help="vector file for b (text format)")
     p.add_argument("--pad", action="store_true", help="zero-pad inputs to a block multiple")
-    common(p)
+    common(p, ("json", "text"))
     p.set_defaults(func=cmd_conv)
 
     p = sub.add_parser("verify", help="exhaustive small-instance verification suites")
     p.add_argument("--max-workers", type=int, default=9)
     p.set_defaults(func=cmd_verify)
 
+    # Options are spelled out in full: `sim --out` is no `--out-dir`.
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 
@@ -321,6 +311,8 @@ def main(argv=None) -> int:
         # Built inside the try, as the --q default reads POLYCODE_Q.
         args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return 1 if exc.code else 0
     except DecodingFailure as exc:
         sys.stderr.write(f"decoding failure: {exc}\n")
         return 2

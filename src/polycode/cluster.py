@@ -254,7 +254,10 @@ def run_with_faults(
         raise InvalidParameters("fault-tolerant decoding is defined for the polynomial code")
     seed = as_natural(seed, "seed")
     scheme.validate(shape)
-    corrupt = set(corrupt)
+    try:
+        corrupt = set(corrupt)
+    except TypeError:
+        raise InvalidParameters("corrupt must be a set of worker ids") from None
     if not corrupt <= set(range(shape.N)):
         raise InvalidParameters("corrupt ids must be worker ids in [0, N)")
     rng = np.random.default_rng(seed)

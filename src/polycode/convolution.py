@@ -1,10 +1,10 @@
 """Distributed convolution by a polynomial code of degree m+n-2.
 
 Vectors are numpy int64 arrays of canonical entries in [0, q). Worker i
-stores sum_j a_j i^j and sum_k b_k i^k, convolves them locally, and the
-master interpolates the m+n-1 coefficient vectors and reassembles the output
-by overlap-add. Encoding, the local convolution and interpolation are each one
-`mulmod` product.
+stores sum_j a_j i^j and sum_k b_k i^k and convolves them locally. The master
+interpolates the m+n-1 coefficient vectors at the ids of the workers it
+decodes from and reassembles the output by overlap-add. Encoding, the local
+convolution and interpolation are each one `mulmod` product.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InvalidParameters, NonDivisiblePartition, NotEnoughResults
-from .field import FieldCtx
+from .field import FieldCtx, as_int
 from .matrixcore import canonical, load_array, mulmod, save_array
 from .schemes import _evaluation_points, _first_per_worker, _interpolation_weights, _vandermonde
 
@@ -26,6 +26,7 @@ def as_vector(values, ctx: FieldCtx):
 def split_vector(vec, parts: int, ctx: FieldCtx) -> list:
     """Split into `parts` equal-length contiguous blocks."""
     vec = as_vector(vec, ctx)
+    parts = as_int(parts, "parts")
     if parts < 1 or len(vec) % parts:
         raise NonDivisiblePartition(f"{parts} does not divide vector length {len(vec)}")
     s = len(vec) // parts
@@ -49,7 +50,6 @@ class ConvShare:
     """Combined input blocks stored at one worker."""
 
     worker_id: int
-    x: int
     a_tilde: object
     b_tilde: object
 
@@ -57,7 +57,6 @@ class ConvShare:
 @dataclass(frozen=True)
 class ConvResult:
     worker_id: int
-    x: int
     value: object  # local convolution, length 2s - 1
 
 
@@ -66,9 +65,8 @@ def conv_encode(a_blocks: list, b_blocks: list, big_n: int, ctx: FieldCtx) -> li
     if not a_blocks or not b_blocks:
         raise EmptyInput("need at least one block of each input")
     s = len(a_blocks[0])
-    for blk in list(a_blocks) + list(b_blocks):
-        if len(blk) != s:
-            raise InvalidParameters("all blocks must share the same length")
+    if any(len(blk) != s for blk in [*a_blocks, *b_blocks]):
+        raise InvalidParameters("all blocks must share the same length")
     pts = _evaluation_points(big_n, ctx)
 
     def encode(blocks):
@@ -76,36 +74,38 @@ def conv_encode(a_blocks: list, b_blocks: list, big_n: int, ctx: FieldCtx) -> li
         return mulmod(gen, np.stack([as_vector(blk, ctx) for blk in blocks]), ctx.q)
 
     a_t, b_t = encode(a_blocks), encode(b_blocks)
-    return [ConvShare(i, x, a_t[i], b_t[i]) for i, x in enumerate(pts)]
+    return [ConvShare(i, a_t[i], b_t[i]) for i in pts]
 
 
 def conv_worker_compute(share: ConvShare, ctx: FieldCtx) -> ConvResult:
-    return ConvResult(share.worker_id, share.x, conv_direct(share.a_tilde, share.b_tilde, ctx))
+    return ConvResult(share.worker_id, conv_direct(share.a_tilde, share.b_tilde, ctx))
 
 
 def conv_decode(results: list, m: int, n: int, ctx: FieldCtx):
     """Recover c = a * b from any m+n-1 worker results.
 
-    Positionwise interpolation of the degree m+n-2 polynomial yields the
-    m+n-1 coefficient vectors (each a sum of cross-term convolutions), which
-    overlap-add into the output: coefficient slot d contributes to positions
-    d*s .. d*s + 2s - 2.
+    It keeps the first result of each worker and uses those of the m+n-1
+    lowest worker ids; worker i's point is i. Positionwise interpolation of
+    the degree m+n-2 polynomial yields the m+n-1 coefficient vectors (each a
+    sum of cross-term convolutions), which overlap-add into the output:
+    coefficient slot d contributes to positions d*s .. d*s + 2s - 2.
     """
+    m, n = as_int(m, "m"), as_int(n, "n")
     if m < 1 or n < 1:
         raise InvalidParameters(f"m and n must be positive, got m={m}, n={n}")
     need = m + n - 1
     first = _first_per_worker(results)
     if len(first) < need:
         raise NotEnoughResults(f"need {need} distinct results, got {len(first)}")
-    picked = [first[i] for i in sorted(first)[:need]]
-    weights = _interpolation_weights([r.x % ctx.q for r in picked], ctx)
+    ids = sorted(first)[:need]
+    picked = [first[i] for i in ids]
+    weights = _interpolation_weights(ids, ctx)
     vlen = len(picked[0].value)
     if vlen % 2 != 1:
         raise InvalidParameters("worker results must have odd length 2s-1")
     s = (vlen + 1) // 2
-    for r in picked:
-        if len(r.value) != vlen:
-            raise InvalidParameters("worker results must share one length")
+    if any(len(r.value) != vlen for r in picked):
+        raise InvalidParameters("worker results must share one length")
     coeff_vecs = mulmod(weights, np.stack([as_vector(r.value, ctx) for r in picked]), ctx.q)
     # Slots d and d+1 overlap, d and d+2 do not: each output sums at most two
     # canonical entries, below 2q < 2**63.
@@ -127,6 +127,7 @@ def load_vector(path, ctx: FieldCtx = None) -> tuple:
 def pad_to_multiple(vec, parts: int, ctx: FieldCtx):
     """Zero-pad so that `parts` divides the length (CLI convenience)."""
     vec = as_vector(vec, ctx)
+    parts = as_int(parts, "parts")
     if parts < 1:
         raise NonDivisiblePartition(f"cannot pad to a multiple of {parts}")
     rem = len(vec) % parts
@@ -137,6 +138,7 @@ def pad_to_multiple(vec, parts: int, ctx: FieldCtx):
 
 def conv_thresholds(m: int, n: int, big_n: int) -> dict:
     """Recovery-threshold comparison for one (m, n, N) convolution task."""
+    m, n, big_n = as_int(m, "m"), as_int(n, "n"), as_int(big_n, "N")
     if min(m, n, big_n) < 1:
         raise InvalidParameters("m, n, N must be positive")
     out = {

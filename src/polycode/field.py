@@ -144,9 +144,6 @@ class Poly:
                 return i
         return -1
 
-    def coeff(self, d: int) -> int:
-        return self.coeffs[d] if d < len(self.coeffs) else 0
-
     def evaluate(self, x: int, ctx: FieldCtx) -> int:
         acc = 0
         for c in reversed(self.coeffs):
@@ -422,5 +419,8 @@ def unembed_reals(values, precision_bits: int, ctx: FieldCtx):
     import numpy as np
 
     scale = _fixed_point_scale(precision_bits)
-    v = np.asarray(values, dtype=np.int64) % ctx.q
+    try:
+        v = np.asarray(values, dtype=np.int64) % ctx.q
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameters("unembed_reals takes field elements") from None
     return np.where(v > ctx.q // 2, v - ctx.q, v) / scale

@@ -316,6 +316,7 @@ class ProblemShape:
 
 def split_cols(mat: FMatrix, parts: int) -> list:
     """Split into `parts` equal column blocks; concatenation restores the input."""
+    parts = as_int(parts, "parts")
     if parts < 1 or mat.cols % parts:
         raise NonDivisiblePartition(f"{parts} does not divide {mat.cols} columns")
     w = mat.cols // parts

@@ -693,11 +693,9 @@ def threshold_table(m: int, n: int, n_range, ctx: FieldCtx = None) -> list:
     ctx = ctx or FieldCtx()
     rows = []
     for big_n in n_range:
+        shape = ProblemShape(s=max(m, n), r=m, t=n, m=m, n=n, N=big_n)
         for name in SCHEME_NAMES:
             try:
-                shape = ProblemShape(
-                    s=max(m, n), r=m, t=n, m=m, n=n, N=big_n, allow_wide=True
-                )
                 rows.append((big_n, name, threshold(name, shape, ctx)))
             except PolycodeError:
                 continue

@@ -77,17 +77,20 @@ def scheme_latency(scheme: Scheme, shape: ProblemShape, times) -> float:
     A worker with time +inf never answers; a NaN time is rejected, and
     `times` that are not one row raise ShapeMismatch.
     """
-    return float(scheme_latency_batch(scheme, shape, np.asarray(times, dtype=float)[None])[0])
+    return float(scheme_latency_batch(scheme, shape, [times])[0])
 
 
 def scheme_latency_batch(scheme: Scheme, shape: ProblemShape, samples: np.ndarray) -> np.ndarray:
     """Per-trial latencies: the scheme's recovery rule, `Scheme.latency`.
 
     `samples` is a (trials, workers) array. Workers past the last column
-    never answer (+inf), and a NaN time is rejected. NeverDecodable is
-    raised if any trial cannot decode.
+    never answer (+inf), and a NaN time or one that is not a number is
+    rejected. NeverDecodable is raised if any trial cannot decode.
     """
-    samples = np.asarray(samples, dtype=float)
+    try:
+        samples = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidParameters("completion times must be numbers") from None
     if samples.ndim != 2:
         raise ShapeMismatch(f"samples must be a (trials, workers) array, got shape {samples.shape}")
     if np.isnan(samples).any():

@@ -184,6 +184,34 @@ def test_bad_env_modulus_is_an_error_line(argv, capsys, monkeypatch):
     assert captured.err == "error: POLYCODE_Q must be an integer, got 'abc'\n"
 
 
+class TestUsageErrors:
+    # Each command takes only the shared options it reads, spelled out in
+    # full; a usage error is a validation error.
+    @pytest.mark.parametrize("argv", (
+        ["run", "--scheme", "bogus", "--N", "4", "--m", "2", "--n", "2"],
+        ["run", "--N", "4", "--m", "2", "--n", "2", "--format", "csv"],
+        ["conv", "--m", "2", "--n", "2", "--N", "4", "--format", "csv"],
+        ["threshold", "--m", "2", "--n", "2", "--N", "4", "--seed", "1"],
+        ["sim", "--N", "4", "--m", "2", "--n", "2", "--format", "csv"],
+        ["sim", "--N", "4", "--m", "2", "--n", "2", "--out", "x.json"],
+        ["run", "--N", "4", "--m", "2", "--n", "2", "--form", "text"],
+        [],
+    ), ids=("bad_choice", "run_csv", "conv_csv", "threshold_seed", "sim_format", "sim_out",
+            "abbreviation", "no_command"))
+    def test_exit_1_with_usage_on_stderr(self, argv, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: polycode")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", (["--help"], ["run", "--help"]))
+    def test_help_exits_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: polycode")
+
+
 class TestVerifyCommand:
     def test_all_suites_pass(self, capsys):
         assert main(["verify"]) == 0

@@ -382,6 +382,12 @@ class TestFaultRuns:
         with pytest.raises(InvalidParameters):
             run_with_faults(PolyScheme(BIG), a, b, self.SHAPE12, corrupt={12}, seed=0)
 
+    @pytest.mark.parametrize("corrupt", (5, None, [[1]]))
+    def test_corrupt_must_be_a_collection_of_ids(self, corrupt):
+        a, b, _ = make_instance(self.SHAPE12)
+        with pytest.raises(InvalidParameters):
+            run_with_faults(PolyScheme(BIG), a, b, self.SHAPE12, corrupt=corrupt, seed=0)
+
     def test_only_poly_supported(self):
         a, b, _ = make_instance(self.SHAPE12)
         with pytest.raises(InvalidParameters):

@@ -12,8 +12,11 @@ from polycode.errors import (
     NotEnoughResults,
     TooManyWorkersForField,
 )
+from polycode import convolution
 from polycode.field import FieldCtx
 from polycode.convolution import (
+    ConvResult,
+    ConvShare,
     as_vector,
     conv_decode,
     conv_direct,
@@ -87,13 +90,20 @@ class TestSplitVector:
         with pytest.raises(NonDivisiblePartition):
             pad_to_multiple([1, 2, 3], 0, F7)
 
+    @pytest.mark.parametrize("parts", (2.5, "2", None))
+    def test_part_count_must_be_an_integer(self, parts):
+        with pytest.raises(InvalidParameters):
+            pad_to_multiple([1, 2, 3], parts, F7)
+        with pytest.raises(InvalidParameters):
+            split_vector([1, 2, 3, 4, 5], parts, F7)
+
 
 class TestConvEncode:
     def test_point_zero_keeps_first_blocks(self):
         a_blocks = split_vector([1, 2, 3, 4], 2, F7)
         b_blocks = split_vector([5, 6, 0, 1], 2, F7)
         sh0 = conv_encode(a_blocks, b_blocks, 3, F7)[0]
-        assert sh0.x == 0
+        assert sh0.worker_id == 0
         assert list(sh0.a_tilde) == [1, 2] and list(sh0.b_tilde) == [5, 6]
 
     def test_point_one_sums_blocks(self):
@@ -142,11 +152,33 @@ class TestConvDecode:
             run_pipeline(a, b, 3, 2, 7, F7, subset=range(3))
 
     def test_duplicate_points_among_results(self):
+        # Worker 7's point is worker 0's in F_7.
         blocks = split_vector([1, 2, 3, 4], 2, F7)
-        results = [conv_worker_compute(sh, F7) for sh in conv_encode(blocks, blocks, 4, F7)]
-        results[1] = dataclasses.replace(results[1], x=results[0].x)
+        results = [conv_worker_compute(sh, F7) for sh in conv_encode(blocks, blocks, 3, F7)]
+        results[1] = dataclasses.replace(results[1], worker_id=7)
         with pytest.raises(DuplicateEvaluationPoint):
             conv_decode(results, 2, 2, F7)
+
+    def test_points_are_the_picked_worker_ids(self, monkeypatch):
+        # The lowest m+n-1 distinct worker ids, whatever the results' order;
+        # neither a share nor a result carries a point of its own.
+        assert [f.name for f in dataclasses.fields(ConvShare)] == ["worker_id", "a_tilde", "b_tilde"]
+        assert [f.name for f in dataclasses.fields(ConvResult)] == ["worker_id", "value"]
+        asked, real = [], convolution._interpolation_weights
+        monkeypatch.setattr(convolution, "_interpolation_weights",
+                            lambda xs, ctx: asked.append(list(xs)) or real(xs, ctx))
+        rng = np.random.default_rng(6)
+        a = list(rng.integers(0, BIG.q, size=6))
+        b = list(rng.integers(0, BIG.q, size=6))
+        shares = conv_encode(split_vector(a, 2, BIG), split_vector(b, 2, BIG), 7, BIG)
+        results = [conv_worker_compute(shares[i], BIG) for i in (6, 2, 4, 2, 1, 5)]
+        assert list(conv_decode(results, 2, 2, BIG)) == schoolbook(a, b, BIG.q)
+        assert asked == [[1, 2, 4]]
+
+    @pytest.mark.parametrize("m, n", ((1.5, 2), (2, "2"), (None, 1)))
+    def test_partition_counts_must_be_integers(self, m, n):
+        with pytest.raises(InvalidParameters):
+            conv_decode([], m, n, F7)
 
     @pytest.mark.parametrize("m, n", ((0, 1), (0, 0), (1, 0)))
     def test_nonpositive_partition_counts(self, m, n):
@@ -188,6 +220,11 @@ class TestConvThresholds:
     def test_baseline_when_defined(self):
         t = conv_thresholds(2, 2, 6)
         assert t["coded_conv_baseline"] == 6 - 3 + 2
+
+    @pytest.mark.parametrize("m, n, big_n", ((2.5, 2, 4), (2, "2", 4), (2, 2, 4.0)))
+    def test_counts_must_be_integers(self, m, n, big_n):
+        with pytest.raises(InvalidParameters):
+            conv_thresholds(m, n, big_n)
 
     def test_factor_two_gap_over_sweep(self):
         for m in range(1, 12):

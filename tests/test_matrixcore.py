@@ -95,6 +95,11 @@ class TestSplitCols:
         with pytest.raises(NonDivisiblePartition):
             split_cols(m, 3)
 
+    @pytest.mark.parametrize("parts", ("1", 2.0, None))
+    def test_part_count_must_be_an_integer(self, parts):
+        with pytest.raises(InvalidParameters):
+            split_cols(FMatrix.zeros(3, 4, F7), parts)
+
 
 class TestTransposeMul:
     def test_identity_padded(self):

@@ -1,5 +1,6 @@
 """Pinned outputs: the exact shares each scheme hands its workers, the exact
-`polycode run` report and the exact `polycode sim` files.
+`polycode run` report, the exact `polycode sim` files and the exact
+`polycode conv` and `polycode threshold` stdout.
 
 A placement that gives worker i the wrong coded block can still decode
 correctly, so only a pinned digest catches it. The digests were recorded
@@ -73,6 +74,35 @@ SIM_DIGESTS = {
 }
 
 
+# sha256 of the stdout of `polycode conv <args>`. The report holds no field
+# element, so each shape prints the same bytes at every q; the pins fail if a
+# decode at any q stops being exact.
+CONV_DIGESTS = {
+    "--m 3 --n 2 --N 7 --s 5 --seed 9 --q 7 --format json": "289f0bc1236e03501d0166c89f41f2874301e06f04e116371972de247ac3841b",
+    "--m 3 --n 2 --N 7 --s 5 --seed 9 --q 7 --format text": "92424414001db4dc256f609638a58e488219f3943af02b78e333b4c73f6dd752",
+    "--m 2 --n 2 --N 5 --s 3 --seed 1 --q 7 --format json": "708af36afbeeffc129c66b9a864cc7070c143e212c53164a8f9ff6ca3592157a",
+    "--m 2 --n 2 --N 5 --s 3 --seed 1 --q 7 --format text": "29baf16ffd31a199aa7b160c9cede3c1a4b704c14649adb8025deda63678ea45",
+    "--m 3 --n 2 --N 7 --s 5 --seed 9 --q 2147483647 --format json": "289f0bc1236e03501d0166c89f41f2874301e06f04e116371972de247ac3841b",
+    "--m 3 --n 2 --N 7 --s 5 --seed 9 --q 2147483647 --format text": "92424414001db4dc256f609638a58e488219f3943af02b78e333b4c73f6dd752",
+    "--m 2 --n 2 --N 5 --s 3 --seed 1 --q 2147483647 --format json": "708af36afbeeffc129c66b9a864cc7070c143e212c53164a8f9ff6ca3592157a",
+    "--m 2 --n 2 --N 5 --s 3 --seed 1 --q 2147483647 --format text": "29baf16ffd31a199aa7b160c9cede3c1a4b704c14649adb8025deda63678ea45",
+    "--m 3 --n 2 --N 7 --s 5 --seed 9 --q 2305843009213693951 --format json": "289f0bc1236e03501d0166c89f41f2874301e06f04e116371972de247ac3841b",
+    "--m 3 --n 2 --N 7 --s 5 --seed 9 --q 2305843009213693951 --format text": "92424414001db4dc256f609638a58e488219f3943af02b78e333b4c73f6dd752",
+    "--m 2 --n 2 --N 5 --s 3 --seed 1 --q 2305843009213693951 --format json": "708af36afbeeffc129c66b9a864cc7070c143e212c53164a8f9ff6ca3592157a",
+    "--m 2 --n 2 --N 5 --s 3 --seed 1 --q 2305843009213693951 --format text": "29baf16ffd31a199aa7b160c9cede3c1a4b704c14649adb8025deda63678ea45",
+}
+
+# sha256 of the stdout of `polycode threshold <args>`.
+THRESHOLD_DIGESTS = {
+    "--m 3 --n 2 --N 1..40 --format csv": "03cddfb2e2a12f7ab72dfaad5a2eb1db05f6edc8dee52b8410a7ed09f0a304ba",
+    "--m 3 --n 2 --N 1..40 --format json": "ad6d0306878437c34038a278e02cc084fc63cd2a74510a6d8af1aa879fc6ef93",
+    "--m 3 --n 2 --N 1..40 --format text": "36590027b7fa81b8b20dba1daa9a11338485e4ebb8cf6fec6a65316f0301589c",
+    "--m 2 --n 3 --N 6..150:12 --q 7 --format csv": "7d2fe22e64c2bf093247ab7697231d2961114b2196777aab0be5c7d4fbf12a5e",
+    "--m 2 --n 3 --N 6..150:12 --q 7 --format json": "d9fd4d1140be2d5fad7c51ea3c73be882ef7863d4c76ff9d418283c3081256bd",
+    "--m 2 --n 3 --N 6..150:12 --q 7 --format text": "e8f96701c8b7355e100b2b2c0770957d75d5283729ebe5b313e9e708dbb19939",
+}
+
+
 def share_digest(name: str, q: int) -> str:
     """One sha256 over every share's id, point and coded blocks, in order."""
     dims, big_ns = CASES[q]
@@ -106,3 +136,17 @@ def test_sim_files_are_pinned(args, tmp_path, capsys):
     assert main(["sim", *args.split(), "--out-dir", str(tmp_path)]) == 0
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in SIM_DIGESTS[args]}
     assert got == SIM_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", sorted(CONV_DIGESTS))
+def test_conv_report_is_pinned(args, capsys):
+    assert main(["conv", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CONV_DIGESTS[args]
+
+
+@pytest.mark.parametrize("args", sorted(THRESHOLD_DIGESTS))
+def test_threshold_table_is_pinned(args, capsys):
+    assert main(["threshold", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == THRESHOLD_DIGESTS[args]

@@ -116,8 +116,13 @@ class TestLatencyModel:
         (lambda: StragglerPlan("slow_random", factor="2"), InvalidParameters),
         (lambda: sample_latency(LatencyModel(), 5, 0, 2.5), InvalidParameters),
         (lambda: embed_reals(["a"], 8, BIG), InvalidParameters),
+        (lambda: unembed_reals(["a"], 4, BIG), InvalidParameters),
+        (lambda: scheme_latency(get_scheme("poly", BIG), PROBE_SHAPE, [1, "a"]), InvalidParameters),
+        (lambda: scheme_latency_batch(get_scheme("poly", BIG), PROBE_SHAPE, [[1, 2], [3]]),
+         InvalidParameters),
     ),
-    ids=("model_shift", "model_samples", "plan_delays", "plan_factor", "trials", "embed_reals"),
+    ids=("model_shift", "model_samples", "plan_delays", "plan_factor", "trials", "embed_reals",
+         "unembed_reals", "scheme_latency", "scheme_latency_batch"),
 )
 def test_parameters_that_are_not_numbers_raise_typed_errors(probe, error):
     with pytest.raises(error):
