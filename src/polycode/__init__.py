@@ -27,7 +27,7 @@ from .schemes import (
     worker_compute,
 )
 from .convolution import conv_decode, conv_direct, conv_encode, conv_thresholds
-from .cluster import RunReport, StragglerPlan, run, run_with_faults
+from .cluster import RunReport, StragglerPlan, run
 from .sim import LatencyModel, comm_load_bits, dominance_check, sample_latency, scheme_latency
 
 __version__ = "0.1.0"

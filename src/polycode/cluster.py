@@ -27,7 +27,7 @@ import numpy as np
 from .errors import HarnessTimeout, InvalidParameters
 from .field import FieldCtx, as_natural
 from .matrixcore import FMatrix, ProblemShape, mulmod
-from .schemes import PolyScheme, Scheme, WorkerResult, _Accepted, worker_compute
+from .schemes import Scheme, _Accepted, worker_compute
 from .sim import LatencyModel
 
 # Modeled, not measured: the virtual cost of one decode multiply-accumulate.
@@ -234,57 +234,3 @@ def run(
     )
     return c, report
 
-
-def run_with_faults(
-    scheme: PolyScheme,
-    a: FMatrix,
-    b: FMatrix,
-    shape: ProblemShape,
-    corrupt: set,
-    seed: int = 0,
-):
-    """Fault-tolerance setting: all N workers respond, `corrupt` of them lie.
-
-    Routes through `PolyScheme.decode_with_errors` at its default radius
-    t = floor((N - mn)/2): exact output up to t corrupted workers,
-    DecodingFailure up to N - mn - t. Beyond that a wrong product may be
-    returned.
-    """
-    if not isinstance(scheme, PolyScheme):
-        raise InvalidParameters("fault-tolerant decoding is defined for the polynomial code")
-    seed = as_natural(seed, "seed")
-    scheme.validate(shape)
-    try:
-        corrupt = set(corrupt)
-    except TypeError:
-        raise InvalidParameters("corrupt must be a set of worker ids") from None
-    if not corrupt <= set(range(shape.N)):
-        raise InvalidParameters("corrupt ids must be worker ids in [0, N)")
-    rng = np.random.default_rng(seed)
-    # One shared nonzero offset corrupts every entry of every faulty block: a
-    # convenient pattern, not a worst case. The faulty workers then agree on
-    # the codeword of (true polynomial + offset): with f >= N - t of them,
-    # that wrong codeword is returned. A coordinated pattern can do the same
-    # at any f > N - mn - t.
-    offset = 1 + int(rng.integers(0, scheme.ctx.q - 1))
-    shares = scheme.encode(a, b, shape)
-    results = []
-    for share in shares:
-        res = worker_compute(share)
-        if share.worker_id in corrupt:
-            wrong = FMatrix(
-                (res.c_tilde.data + offset) % scheme.ctx.q, scheme.ctx, _canonical=True
-            )
-            res = WorkerResult(share.worker_id, wrong)
-        results.append(res)
-    c = scheme.decode_with_errors(results, shares, shape)
-    report = RunReport(
-        scheme=scheme.name,
-        seed=seed,
-        wall_latency=0.0,
-        decode_time=0.0,
-        responders=[r.worker_id for r in results],
-        bytes_received=_bytes_received(len(results), shape, scheme.ctx),
-        output=c,
-    )
-    return c, report

@@ -415,12 +415,12 @@ def embed_reals(values, precision_bits: int, ctx: FieldCtx):
 
 
 def unembed_reals(values, precision_bits: int, ctx: FieldCtx):
-    """Inverse of embed_reals: symmetric decode then fixed-point unscale."""
+    """Inverse of embed_reals: symmetric decode then fixed-point unscale. The
+    values are read by `matrixcore.canonical`, so 1.5 is InvalidParameters."""
     import numpy as np
 
+    from .matrixcore import canonical
+
     scale = _fixed_point_scale(precision_bits)
-    try:
-        v = np.asarray(values, dtype=np.int64) % ctx.q
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameters("unembed_reals takes field elements") from None
+    v = canonical(values, ctx.q)
     return np.where(v > ctx.q // 2, v - ctx.q, v) / scale

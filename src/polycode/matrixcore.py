@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import threading
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -286,7 +285,6 @@ class ProblemShape:
     m: int
     n: int
     N: int
-    allow_wide: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         for name in ("s", "r", "t", "m", "n", "N"):
@@ -298,12 +296,9 @@ class ProblemShape:
         if self.t % self.n:
             raise NonDivisiblePartition(f"n={self.n} does not divide t={self.t}")
         if self.s < self.r and self.s < self.t:
-            if not self.allow_wide:
-                raise InvalidParameters(
-                    "both inputs are wide (s < r and s < t): the product is rank "
-                    "deficient; pass allow_wide=True to proceed anyway"
-                )
-            warnings.warn("both input matrices are wide; output is rank deficient")
+            raise InvalidParameters(
+                "both inputs are wide (s < r and s < t): the product is rank deficient"
+            )
 
     @property
     def block_rows(self) -> int:

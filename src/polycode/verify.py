@@ -125,19 +125,16 @@ def suite_conv():
 
 
 SUITES = (
-    ("poly_example", 5, suite_poly_example),
-    ("mds1d", 6, suite_mds1d),
-    ("product", 9, suite_product),
-    ("conv", 7, suite_conv),
+    ("poly_example", suite_poly_example),
+    ("mds1d", suite_mds1d),
+    ("product", suite_product),
+    ("conv", suite_conv),
 )
 
 
-def run_suites(max_workers: int = 9):
-    """Run every suite whose instance fits in max_workers; yields (name, ok, detail)."""
-    for name, workers, fn in SUITES:
-        if workers > max_workers:
-            yield name, None, f"skipped (needs {workers} workers)"
-            continue
+def run_suites():
+    """Run every suite; yields (name, ok, detail)."""
+    for name, fn in SUITES:
         try:
             yield name, True, fn()
         except AssertionError as exc:

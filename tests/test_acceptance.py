@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from polycode.cluster import StragglerPlan, run, run_with_faults
+from polycode.cluster import StragglerPlan, run
 from polycode.convolution import (
     conv_decode,
     conv_direct,
@@ -38,6 +38,7 @@ from polycode.sim import (
     sample_latency,
     scheme_latency_batch,
 )
+from test_decode_errors import shared_offset
 
 F7 = FieldCtx(7)
 BIG = FieldCtx()
@@ -93,9 +94,7 @@ def test_01_small_field_subset_exactness():
 def test_02_threshold_formulas():
     for m in range(1, 9):
         for n in range(1, 9):
-            shape = ProblemShape(
-                s=max(m, n), r=m, t=n, m=m, n=n, N=m * n, allow_wide=True
-            )
+            shape = ProblemShape(s=max(m, n), r=m, t=n, m=m, n=n, N=m * n)
             assert threshold("poly", shape) == m * n
     shape = ProblemShape(s=10, r=10, t=10, m=10, n=10, N=400)
     assert threshold("poly", shape) == 100
@@ -189,18 +188,20 @@ def test_07_error_correction():
     shape = ProblemShape(s=4, r=2, t=2, m=2, n=2, N=12)
     a, b, oracle = make_instance(shape, BIG)
     scheme = PolyScheme(BIG)
+    shares = scheme.encode(a, b, shape)
+    results = [worker_compute(sh) for sh in shares]
     rng = np.random.default_rng(7)
     for trial in range(1000):
         k = int(rng.integers(0, 5))
         corrupt = set(map(int, rng.choice(12, size=k, replace=False)))
-        c, _ = run_with_faults(scheme, a, b, shape, corrupt=corrupt, seed=trial)
-        assert c == oracle
+        faulty = shared_offset(results, corrupt, trial, BIG)
+        assert scheme.decode_with_errors(faulty, shares, shape) == oracle
     # past the correction radius: shared-offset corruption must be detected,
     # never silently mis-decoded
     for seed in range(20):
         bad = set(map(int, np.random.default_rng(seed).choice(12, size=5, replace=False)))
         with pytest.raises(DecodingFailure):
-            run_with_faults(scheme, a, b, shape, corrupt=bad, seed=seed)
+            scheme.decode_with_errors(shared_offset(results, bad, seed, BIG), shares, shape)
 
 
 @criterion(8, "convolution: every 4-of-7 subset exact; thresholds 4 vs 3")

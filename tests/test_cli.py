@@ -196,8 +196,10 @@ class TestUsageErrors:
         ["sim", "--N", "4", "--m", "2", "--n", "2", "--out", "x.json"],
         ["run", "--N", "4", "--m", "2", "--n", "2", "--form", "text"],
         [],
+        ["verify", "--max-workers", "9"],
+        ["run", "--N", "4", "--m", "2", "--n", "2", "--plan", "slow1x2"],
     ), ids=("bad_choice", "run_csv", "conv_csv", "threshold_seed", "sim_format", "sim_out",
-            "abbreviation", "no_command"))
+            "abbreviation", "no_command", "verify_max_workers", "plan_slow1x2"))
     def test_exit_1_with_usage_on_stderr(self, argv, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1

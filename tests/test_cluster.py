@@ -14,18 +14,14 @@ from hypothesis import strategies as st
 
 import polycode
 from polycode import cluster, matrixcore, schemes
-from polycode.cluster import (
-    DECODE_SECONDS_PER_OP,
-    StragglerPlan,
-    run,
-    run_with_faults,
-)
-from polycode.errors import DecodingFailure, HarnessTimeout, InvalidParameters, ShapeMismatch
+from polycode.cluster import DECODE_SECONDS_PER_OP, StragglerPlan, run
+from polycode.errors import HarnessTimeout, InvalidParameters, ShapeMismatch
 from polycode.field import FieldCtx
 from polycode.matrixcore import FMatrix, ProblemShape, transpose_mul
 from polycode.schemes import SCHEME_NAMES, Mds1dScheme, PolyScheme, UncodedScheme, get_scheme
 from polycode.sim import LatencyModel
 from recovery import arrival_cut
+from test_decode_errors import shared_offset
 
 BIG = FieldCtx()
 
@@ -354,46 +350,6 @@ class TestThreadsClock:
         assert out.stdout.strip() == "False"
 
 
-class TestFaultRuns:
-    SHAPE12 = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=12)
-
-    def test_four_corruptions_corrected(self):
-        a, b, oracle = make_instance(self.SHAPE12)
-        c, rep = run_with_faults(
-            PolyScheme(BIG), a, b, self.SHAPE12, corrupt={1, 4, 8, 11}, seed=2
-        )
-        assert c == oracle
-        assert rep.output_digest == oracle.digest()
-
-    def test_no_corruption_matches_plain_run(self):
-        a, b, oracle = make_instance(self.SHAPE12)
-        c, _ = run_with_faults(PolyScheme(BIG), a, b, self.SHAPE12, corrupt=set(), seed=2)
-        assert c == oracle
-
-    def test_six_corruptions_detected(self):
-        a, b, _ = make_instance(self.SHAPE12)
-        with pytest.raises(DecodingFailure):
-            run_with_faults(
-                PolyScheme(BIG), a, b, self.SHAPE12, corrupt={0, 2, 4, 6, 8, 10}, seed=5
-            )
-
-    def test_bad_corrupt_ids_rejected(self):
-        a, b, _ = make_instance(self.SHAPE12)
-        with pytest.raises(InvalidParameters):
-            run_with_faults(PolyScheme(BIG), a, b, self.SHAPE12, corrupt={12}, seed=0)
-
-    @pytest.mark.parametrize("corrupt", (5, None, [[1]]))
-    def test_corrupt_must_be_a_collection_of_ids(self, corrupt):
-        a, b, _ = make_instance(self.SHAPE12)
-        with pytest.raises(InvalidParameters):
-            run_with_faults(PolyScheme(BIG), a, b, self.SHAPE12, corrupt=corrupt, seed=0)
-
-    def test_only_poly_supported(self):
-        a, b, _ = make_instance(self.SHAPE12)
-        with pytest.raises(InvalidParameters):
-            run_with_faults(UncodedScheme(BIG), a, b, self.SHAPE12, corrupt=set())
-
-
 class TestOutputDigest:
     """The report hashes its output only when `output_digest` is read."""
 
@@ -424,8 +380,6 @@ class TestOutputDigest:
         for name, shape in self.SHAPES.items():
             a, b, _ = make_instance(shape)
             run(get_scheme(name, BIG), a, b, shape, plan=plan, seed=5)
-        a, b, _ = make_instance(TestFaultRuns.SHAPE12)
-        run_with_faults(PolyScheme(BIG), a, b, TestFaultRuns.SHAPE12, corrupt={1, 4}, seed=2)
         assert digest_calls == []
 
     @pytest.mark.parametrize("name", sorted(SHAPES))
@@ -440,10 +394,13 @@ class TestOutputDigest:
         assert "output=" not in repr(rep)
 
     def test_fault_run_digest_is_pinned(self):
-        shape = TestFaultRuns.SHAPE12
+        shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=12)
         a, b, _ = make_instance(shape)
-        _, rep = run_with_faults(PolyScheme(BIG), a, b, shape, corrupt={1, 4, 8, 11}, seed=2)
-        assert rep.output_digest == self.PINNED
+        scheme = PolyScheme(BIG)
+        shares = scheme.encode(a, b, shape)
+        results = [schemes.worker_compute(sh) for sh in shares]
+        results = shared_offset(results, {1, 4, 8, 11}, 2, BIG)
+        assert scheme.decode_with_errors(results, shares, shape).digest() == self.PINNED
 
 
 class TestVirtualClockAsksTheRuleOnce:

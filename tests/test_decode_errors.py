@@ -111,6 +111,19 @@ def corrupt(results, pattern, f, t, k, xs, ctx, rng):
     return [WorkerResult(res.worker_id, FMatrix(d, ctx)) for res, d in zip(results, data)]
 
 
+def shared_offset(results, faulty, seed, ctx):
+    """`results` with the workers in `faulty` faulty: each adds one offset,
+    1 + default_rng(seed).integers(0, q - 1), mod q to every entry of its
+    block. The faulty workers then agree on the codeword of (true product +
+    offset): a convenient pattern, not a worst case."""
+    offset = 1 + int(np.random.default_rng(seed).integers(0, ctx.q - 1))
+    return [
+        WorkerResult(r.worker_id, FMatrix((r.c_tilde.data + offset) % ctx.q, ctx))
+        if r.worker_id in faulty else r
+        for r in results
+    ]
+
+
 def instance(scheme, shape, rng):
     a = FMatrix.random(shape.s, shape.r, scheme.ctx, rng)
     b = FMatrix.random(shape.s, shape.t, scheme.ctx, rng)
@@ -235,6 +248,36 @@ def test_error_cancelled_by_the_fold_is_caught(monkeypatch, cancelled, located, 
         with pytest.raises(want):
             scheme.decode_with_errors(results, shares, SHAPE12)
     assert len(fallback) == 1
+
+
+class TestFaultRuns:
+    """All N = 12 workers answer and the faulty ones share one offset: at the
+    default radius t = (N - mn)/2 = 4 the product is exact up to 4 faulty
+    workers, and DecodingFailure up to N - mn - t."""
+
+    SHAPE12 = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=12)
+
+    def decode(self, faulty, seed):
+        """(decoded product, A^T B) with the workers in `faulty` faulty."""
+        shape, rng = self.SHAPE12, np.random.default_rng(0)
+        a = FMatrix.random(shape.s, shape.r, BIG, rng)
+        b = FMatrix.random(shape.s, shape.t, BIG, rng)
+        scheme = PolyScheme(BIG)
+        shares = scheme.encode(a, b, shape)
+        results = shared_offset([worker_compute(sh) for sh in shares], faulty, seed, BIG)
+        return scheme.decode_with_errors(results, shares, shape), transpose_mul(a, b)
+
+    def test_four_corruptions_corrected(self):
+        c, oracle = self.decode({1, 4, 8, 11}, seed=2)
+        assert c == oracle
+
+    def test_no_corruption_matches_plain_run(self):
+        c, oracle = self.decode(set(), seed=2)
+        assert c == oracle
+
+    def test_six_corruptions_detected(self):
+        with pytest.raises(DecodingFailure):
+            self.decode({0, 2, 4, 6, 8, 10}, seed=5)
 
 
 @pytest.mark.parametrize("f", range(5, 9))

@@ -50,8 +50,6 @@ class TestProblemShape:
     def test_wide_inputs_rejected_by_default(self):
         with pytest.raises(InvalidParameters):
             ProblemShape(s=2, r=4, t=4, m=2, n=2, N=5)
-        with pytest.warns(UserWarning):
-            ProblemShape(s=2, r=4, t=4, m=2, n=2, N=5, allow_wide=True)
 
 
     @pytest.mark.parametrize("name", ("s", "r", "t", "m", "n", "N"))

@@ -36,7 +36,7 @@ SHARE_DIGESTS = {
 }
 
 # sha256 of the stdout of `polycode run --scheme <name> --N 16 --m 2 --n 2
-# --s 8 --r 4 --t 6 --seed 3 --format json --plan slow1x2`.
+# --s 8 --r 4 --t 6 --seed 3 --format json --plan slow_random`.
 RUN_DIGESTS = {
     "poly": "50924343163e6bc5de90ecdf98e68c9bcdf714685633fb927dda61c74c384601",
     "mds1d": "341d37b3bb1ce8f086c96f3d39fc3d6d980a9443b1da2be27ed8ed16b515422b",
@@ -125,7 +125,7 @@ def test_share_digests_are_pinned(q, name):
 @pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
 def test_run_report_is_pinned(name, capsys):
     args = ["run", "--scheme", name, "--N", "16", "--m", "2", "--n", "2", "--s", "8",
-            "--r", "4", "--t", "6", "--seed", "3", "--format", "json", "--plan", "slow1x2"]
+            "--r", "4", "--t", "6", "--seed", "3", "--format", "json", "--plan", "slow_random"]
     assert main(args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == RUN_DIGESTS[name]

@@ -620,7 +620,7 @@ def rule_cases(draw):
         big_n = n * draw(st.integers(m, m + 4), label="group_size")
     else:
         big_n = m * n + draw(st.integers(0, 6), label="spare")
-    return name, ProblemShape(s=max(m, n), r=m, t=n, m=m, n=n, N=big_n, allow_wide=True)
+    return name, ProblemShape(s=max(m, n), r=m, t=n, m=m, n=n, N=big_n)
 
 
 @settings(deadline=None, max_examples=400)
@@ -694,7 +694,7 @@ class TestThresholds:
     @pytest.mark.parametrize("m", range(1, 9))
     @pytest.mark.parametrize("n", range(1, 9))
     def test_poly_threshold_is_mn(self, m, n):
-        shape = ProblemShape(s=max(m, n), r=m, t=n, m=m, n=n, N=m * n, allow_wide=True)
+        shape = ProblemShape(s=max(m, n), r=m, t=n, m=m, n=n, N=m * n)
         assert threshold("poly", shape) == m * n
 
     def test_fig3_regime(self):
@@ -719,7 +719,7 @@ class TestThresholds:
                 big_n = side * side
                 if big_n % m:
                     continue
-                shape = ProblemShape(s=m, r=m, t=m, m=m, n=m, N=big_n, allow_wide=True)
+                shape = ProblemShape(s=m, r=m, t=m, m=m, n=m, N=big_n)
                 kp = threshold("poly", shape)
                 kprod = threshold("product", shape)
                 if big_n // m >= m:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycode import sim
-from polycode.cluster import StragglerPlan, run, run_with_faults
+from polycode.cluster import StragglerPlan, run
 from polycode.errors import (
     DominanceViolation,
     InvalidGrid,
@@ -17,7 +17,7 @@ from polycode.errors import (
 )
 from polycode.field import FieldCtx, embed_reals, unembed_reals
 from polycode.matrixcore import FMatrix, ProblemShape
-from polycode.schemes import SCHEME_NAMES, PolyScheme, ProductScheme, Scheme, get_scheme
+from polycode.schemes import SCHEME_NAMES, ProductScheme, Scheme, get_scheme
 from polycode.sim import (
     LatencyModel,
     ccdf_table,
@@ -117,12 +117,13 @@ class TestLatencyModel:
         (lambda: sample_latency(LatencyModel(), 5, 0, 2.5), InvalidParameters),
         (lambda: embed_reals(["a"], 8, BIG), InvalidParameters),
         (lambda: unembed_reals(["a"], 4, BIG), InvalidParameters),
+        (lambda: unembed_reals([1.5], 0, BIG), InvalidParameters),
         (lambda: scheme_latency(get_scheme("poly", BIG), PROBE_SHAPE, [1, "a"]), InvalidParameters),
         (lambda: scheme_latency_batch(get_scheme("poly", BIG), PROBE_SHAPE, [[1, 2], [3]]),
          InvalidParameters),
     ),
     ids=("model_shift", "model_samples", "plan_delays", "plan_factor", "trials", "embed_reals",
-         "unembed_reals", "scheme_latency", "scheme_latency_batch"),
+         "unembed_reals", "unembed_truncated", "scheme_latency", "scheme_latency_batch"),
 )
 def test_parameters_that_are_not_numbers_raise_typed_errors(probe, error):
     with pytest.raises(error):
@@ -140,10 +141,9 @@ PROBE_INPUTS = [FMatrix.zeros(4, 4, BIG)] * 2
         lambda bad: unembed_reals([1], bad, BIG),
         lambda bad: sample_latency(LatencyModel(), 5, bad, 2),
         lambda bad: run(get_scheme("poly", BIG), *PROBE_INPUTS, PROBE_SHAPE, seed=bad),
-        lambda bad: run_with_faults(PolyScheme(BIG), *PROBE_INPUTS, PROBE_SHAPE, set(), seed=bad),
         lambda bad: dominance_check(["poly"], LatencyModel(), PROBE_SHAPE, 2, seed=bad),
     ),
-    ids=("embed_reals", "unembed_reals", "sample_latency", "run", "run_with_faults", "dominance_check"),
+    ids=("embed_reals", "unembed_reals", "sample_latency", "run", "dominance_check"),
 )
 @pytest.mark.parametrize("bad", (2.5, "a", -1, None))
 def test_seeds_and_precision_must_be_non_negative_integers(probe, bad):
@@ -292,7 +292,7 @@ def test_latency_rule_equals_scalar_path(name, model, seed, data):
         m, n = data.draw(st.integers(1, 4), label="m"), data.draw(st.integers(1, 4), label="n")
         spare = data.draw(st.integers(0, 8), label="spare")
         big_n = n * (m + spare) if name == "mds1d" else m * n + spare
-    shape = ProblemShape(s=max(m, n), r=m, t=n, m=m, n=n, N=big_n, allow_wide=True)
+    shape = ProblemShape(s=max(m, n), r=m, t=n, m=m, n=n, N=big_n)
     scheme = get_scheme(name, BIG)
     scheme.validate(shape)
     cols = data.draw(st.one_of(st.just(big_n), st.integers(0, big_n - 1)), label="cols")
@@ -329,7 +329,7 @@ def test_product_latency_equals_parallel_peeling(model, seed, data):
     hit = (rng.random(samples.shape) < never) & (rng.random((trials, 1)) < 0.5)
     samples[hit] = math.inf
     before = samples.copy()
-    shape = ProblemShape(s=m, r=m, t=m, m=m, n=m, N=side * side, allow_wide=True)
+    shape = ProblemShape(s=m, r=m, t=m, m=m, n=m, N=side * side)
     got = ProductScheme(BIG).latency(samples, shape)
     want = parallel_peeling(samples, side, m)
     assert got.tolist() == want.tolist()
