@@ -79,16 +79,11 @@ def _emit(text: str, out: str = None) -> None:
         sys.stdout.write(text)
 
 
-def _make_plan(args) -> StragglerPlan:
-    if args.plan == "none":
-        return StragglerPlan(mode="none")
-    return StragglerPlan(mode="slow_random", factor=args.factor)
-
-
-def _make_model(args) -> LatencyModel:
-    if args.model == "deterministic":
-        return LatencyModel("deterministic", value=args.value)
-    return LatencyModel("shifted_exponential", shift=args.shift, rate=args.rate)
+def _files_given(args) -> bool:
+    """Whether the inputs come from the files --A and --B: both or neither."""
+    if bool(args.A) != bool(args.B):
+        raise PolycodeError("provide both --A and --B, or neither")
+    return bool(args.A)
 
 
 def cmd_threshold(args) -> int:
@@ -112,18 +107,15 @@ def cmd_run(args) -> int:
     ctx = FieldCtx(args.q)
     shape = ProblemShape(s=args.s, r=args.r, t=args.t, m=args.m, n=args.n, N=args.N)
     rng = np.random.default_rng(args.seed)
-    if args.A or args.B:
-        if not (args.A and args.B):
-            raise PolycodeError("provide both --A and --B, or neither")
+    if _files_given(args):
         a = load_matrix(args.A, ctx)
         b = load_matrix(args.B, ctx)
     else:
         a = FMatrix.random(shape.s, shape.r, ctx, rng)
         b = FMatrix.random(shape.s, shape.t, ctx, rng)
     scheme = get_scheme(args.scheme, ctx)
-    c, report = run(
-        scheme, a, b, shape, plan=_make_plan(args), seed=args.seed, clock=args.clock
-    )
+    plan = StragglerPlan(args.plan, factor=args.factor)
+    c, report = run(scheme, a, b, shape, plan=plan, seed=args.seed, clock=args.clock)
     if args.verify and c != transpose_mul(a, b):
         raise DecodingFailure("decoded output differs from the direct product")
     if args.format == "text":
@@ -145,7 +137,9 @@ def cmd_sim(args) -> int:
     ctx = FieldCtx(args.q)
     shape = ProblemShape(s=max(args.m, args.n), r=args.m, t=args.n, m=args.m, n=args.n, N=args.N)
     names = [s.strip() for s in args.schemes.split(",") if s.strip()]
-    report = dominance_check(names, _make_model(args), shape, args.trials, args.seed, ctx)
+    kind = {"shifted_exp": "shifted_exponential"}.get(args.model, args.model)
+    model = LatencyModel(kind, shift=args.shift, rate=args.rate, value=args.value)
+    report = dominance_check(names, model, shape, args.trials, args.seed, ctx)
     os.makedirs(args.out_dir, exist_ok=True)
     lat_lines = ["trial,scheme,latency"]
     for name, lat in sorted(report.latencies.items()):
@@ -184,9 +178,7 @@ def cmd_conv(args) -> int:
     ctx = FieldCtx(args.q)
     thresholds = conv_thresholds(args.m, args.n, args.N)
     rng = np.random.default_rng(args.seed)
-    if args.A or args.B:
-        if not (args.A and args.B):
-            raise PolycodeError("provide both --A and --B, or neither")
+    if _files_given(args):
         a, _ = load_vector(args.A, ctx)
         b, _ = load_vector(args.B, ctx)
         if args.pad:
@@ -195,10 +187,8 @@ def cmd_conv(args) -> int:
     else:
         a = rng.integers(0, ctx.q, size=args.m * args.s)
         b = rng.integers(0, ctx.q, size=args.n * args.s)
-    if len(a) // args.m != len(b) // args.n:
-        raise PolycodeError("block lengths differ; inputs must split into equal blocks")
     shares = conv_encode(split_vector(a, args.m, ctx), split_vector(b, args.n, ctx), args.N, ctx)
-    need = args.m + args.n - 1
+    need = thresholds["conv_poly"]
     results = [conv_worker_compute(sh, ctx) for sh in shares[:need]]
     c = conv_decode(results, args.m, args.n, ctx)
     exact = bool((c == conv_direct(a, b, ctx)).all())
@@ -275,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--schemes", default="poly,mds1d,product,uncoded")
+    p.add_argument("--schemes", default=",".join(SCHEME_NAMES))
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--model", choices=("shifted_exp", "deterministic"), default="shifted_exp")
     p.add_argument("--shift", type=float, default=1.0)

@@ -8,15 +8,16 @@ in that order as its time, gives the length of that prefix; then only those
 workers are encoded, one stack per input (`Scheme._stacks`), their products
 are one kernel call on the stacks, and those go to `Scheme.decode` without
 any share or result object and without asking the rule again. The threads
-clock encodes every share, runs each worker on a joined thread pool that
-waits out the worker's sampled time before computing, measures wall-clock
-time, and asks `decodable` at each arrival.
+clock encodes every share, runs the workers on a joined pool of min(N, CPUs)
+threads, each waiting until its sampled time before computing, measures
+wall-clock time, and asks `decodable` at each arrival.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 import time
 from contextlib import closing
@@ -52,15 +53,15 @@ class StragglerPlan:
     def __post_init__(self):
         if self.mode not in ("none", "slow_random", "per_worker"):
             raise InvalidParameters(f"unknown straggler plan mode {self.mode!r}")
-        # `not a <= v < inf` also rejects NaN, and raises TypeError for a
-        # value that is not a real number.
+        if self.mode == "per_worker" and self.delays is None:
+            raise InvalidParameters("per_worker plan needs delays")
+        # Every field is checked, whatever the mode. `not a <= v < inf` also
+        # rejects NaN, and raises TypeError for a value that is not a real number.
         try:
             if not 1 <= self.factor < math.inf:
                 raise InvalidParameters("slowdown factor must be finite and >= 1")
-            if self.mode == "per_worker" and (
-                self.delays is None or not all(0 <= d < math.inf for d in self.delays)
-            ):
-                raise InvalidParameters("per_worker plan needs finite nonnegative delays")
+            if self.delays is not None and not all(0 <= d < math.inf for d in self.delays):
+                raise InvalidParameters("plan delays must be finite and nonnegative")
         except TypeError:
             raise InvalidParameters("straggler plan parameters must be real numbers") from None
 
@@ -124,19 +125,21 @@ def _bytes_received(used: int, shape: ProblemShape, ctx: FieldCtx) -> int:
 def _thread_arrivals(shares, delays):
     """Yield (worker id, result, seconds since start) as pool workers finish.
 
-    A worker that raises yields nothing. Closing the generator releases the
-    workers still waiting out their delay, and joins every thread.
+    At most min(N, CPUs) threads take the workers in release order, ties by
+    id. A worker that raises yields nothing. Closing the generator releases
+    the workers still waiting out their delay, and joins every thread.
     """
     from concurrent import futures
 
     stop = threading.Event()
 
     def work(i):
-        return None if stop.wait(delays[i]) else worker_compute(shares[i])
+        # What is left of the delay; a negative wait returns at once.
+        return None if stop.wait(t0 + delays[i] - time.perf_counter()) else worker_compute(shares[i])
 
     t0 = time.perf_counter()
-    with futures.ThreadPoolExecutor(len(shares)) as pool:
-        pending = {pool.submit(work, i): i for i in range(len(shares))}
+    with futures.ThreadPoolExecutor(min(len(shares), os.cpu_count() or 2)) as pool:
+        pending = {pool.submit(work, i): i for i in np.argsort(delays, kind="stable").tolist()}
         try:
             for done in futures.as_completed(pending, timeout=60.0):
                 if done.exception() is None:
@@ -167,8 +170,8 @@ def run(
     before any share is encoded. On the virtual clock the times are virtual
     seconds, only the workers in that prefix are encoded and compute, and
     `decode_time` is modeled. On the threads clock every share is encoded,
-    and each worker runs on a pool thread and waits `time_scale` times its
-    sampled time before computing; every time in the report is then
+    and each worker runs on a pool thread and waits until `time_scale` times
+    its sampled time before computing; every time in the report is then
     measured, and once the master can decode, workers still waiting return
     without computing. A worker that raises is an erasure. Every thread is
     joined before `run` returns or raises. HarnessTimeout is raised when all
@@ -178,10 +181,14 @@ def run(
         raise InvalidParameters(f"unknown clock mode {clock!r}")
     if not 0 <= time_scale < math.inf:
         raise InvalidParameters("time_scale must be finite and >= 0")
+    if not isinstance(plan, StragglerPlan):
+        raise InvalidParameters(f"plan is a {type(plan).__name__}, not a StragglerPlan")
+    base_model = LatencyModel() if base_model is None else base_model
+    if not isinstance(base_model, LatencyModel):
+        raise InvalidParameters(f"base_model is a {type(base_model).__name__}, not a LatencyModel")
     seed = as_natural(seed, "seed")
     scheme.validate(shape)
     scheme.check_inputs(a, b, shape)
-    base_model = base_model or LatencyModel()
     rng = np.random.default_rng(seed)
     # Sample over the full configured N so the straggler pick is comparable
     # across schemes that spawn fewer workers (e.g. uncoded uses only mn).

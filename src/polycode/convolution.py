@@ -85,16 +85,18 @@ def conv_decode(results: list, m: int, n: int, ctx: FieldCtx):
     """Recover c = a * b from any m+n-1 worker results.
 
     It keeps the first result of each worker and uses those of the m+n-1
-    lowest worker ids; worker i's point is i. Positionwise interpolation of
-    the degree m+n-2 polynomial yields the m+n-1 coefficient vectors (each a
-    sum of cross-term convolutions), which overlap-add into the output:
-    coefficient slot d contributes to positions d*s .. d*s + 2s - 2.
+    lowest worker ids; worker i's point is i. A negative id, which no worker
+    holds, is dropped, as `Scheme.decode` drops ids no share holds.
+    Positionwise interpolation of the degree m+n-2 polynomial yields the
+    m+n-1 coefficient vectors (each a sum of cross-term convolutions), which
+    overlap-add into the output: coefficient slot d contributes to positions
+    d*s .. d*s + 2s - 2.
     """
     m, n = as_int(m, "m"), as_int(n, "n")
     if m < 1 or n < 1:
         raise InvalidParameters(f"m and n must be positive, got m={m}, n={n}")
     need = m + n - 1
-    first = _first_per_worker(results)
+    first = {i: r for i, r in _first_per_worker(results).items() if i >= 0}
     if len(first) < need:
         raise NotEnoughResults(f"need {need} distinct results, got {len(first)}")
     ids = sorted(first)[:need]

@@ -33,22 +33,19 @@ class LatencyModel:
     samples: tuple = ()
 
     def __post_init__(self):
-        # Parameters must be finite; `not 0 <= v < inf` also rejects NaN, and
-        # raises TypeError for a value that is not a real number.
+        if self.kind not in ("shifted_exponential", "deterministic", "empirical"):
+            raise InvalidModelParams(f"unknown latency model kind {self.kind!r}")
+        # Every field is checked, whatever the kind, and must be finite;
+        # `not 0 <= v < inf` also rejects NaN, and raises TypeError for a value
+        # that is not a real number.
         try:
-            if self.kind == "shifted_exponential":
-                if not (0 <= self.shift < math.inf and 0 < self.rate < math.inf):
-                    raise InvalidModelParams("need shift >= 0 and rate > 0")
-            elif self.kind == "deterministic":
-                if not 0 <= self.value < math.inf:
-                    raise InvalidModelParams("deterministic time must be >= 0")
-            elif self.kind == "empirical":
-                if not self.samples or not all(0 <= s < math.inf for s in self.samples):
-                    raise InvalidModelParams("empirical model needs nonnegative samples")
-            else:
-                raise InvalidModelParams(f"unknown latency model kind {self.kind!r}")
+            times = (self.shift, self.value, *self.samples)
+            if not (0 < self.rate < math.inf and all(0 <= v < math.inf for v in times)):
+                raise InvalidModelParams("need finite shift, value and samples >= 0 and rate > 0")
         except TypeError:
-            raise InvalidModelParams(f"{self.kind} model parameters must be real numbers") from None
+            raise InvalidModelParams("latency model parameters must be real numbers") from None
+        if self.kind == "empirical" and len(self.samples) == 0:
+            raise InvalidModelParams("empirical model needs at least one sample")
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         """Completion times of the given array size (an int or a shape)."""
@@ -65,6 +62,8 @@ def sample_latency(model: LatencyModel, n: int, seed: int, trials: int) -> np.nd
     One draw of shape (trials, n) reads the generator's stream in the order
     that `trials` draws of n would, so the matrix equals stacking those rows.
     """
+    if not isinstance(model, LatencyModel):
+        raise InvalidModelParams(f"model is a {type(model).__name__}, not a LatencyModel")
     if as_int(trials, "trials") < 1 or as_int(n, "n") < 1:
         raise InvalidModelParams("need trials >= 1 and n >= 1")
     return model.sample((trials, n), np.random.default_rng(as_natural(seed, "seed")))

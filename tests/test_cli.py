@@ -145,6 +145,26 @@ class TestSimCommand:
         assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", (
+    ["run", "--N", "4", "--m", "2", "--n", "2", "--factor", "0.5"],
+    ["run", "--N", "4", "--m", "2", "--n", "2", "--factor", "nan"],
+    ["sim", "--N", "4", "--m", "2", "--n", "2", "--model", "deterministic", "--rate", "-1"],
+    ["sim", "--N", "4", "--m", "2", "--n", "2", "--model", "deterministic", "--shift", "-1"],
+    ["sim", "--N", "4", "--m", "2", "--n", "2", "--value", "-5"],
+), ids=("run_factor_below_1", "run_factor_nan", "sim_rate", "sim_shift", "sim_value"))
+def test_bad_plan_and_model_flags_are_an_error_line(argv, capsys, tmp_path, monkeypatch):
+    # Each flag goes to StragglerPlan or LatencyModel, which check every
+    # field, whether or not the chosen plan or model reads it.
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "sim":
+        argv = argv + ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 class TestConvCommand:
     def test_exact_decode_and_thresholds(self, capsys):
         code = main(["conv", "--m", "3", "--n", "2", "--N", "7", "--s", "16"])

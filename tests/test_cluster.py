@@ -341,6 +341,24 @@ class TestThreadsClock:
         assert threading.active_count() == before
         assert sorted(workers.ran) == [0, 1, 2, 3]  # worker 4 never computed
 
+    def test_pool_runs_at_most_one_thread_per_cpu(self, monkeypatch):
+        # Poly needs all 64 results at m = n = 8, so every worker computes,
+        # each on one of at most min(N, CPUs) pool threads.
+        shape = ProblemShape(s=8, r=8, t=8, m=8, n=8, N=64)
+        a, b, oracle = make_instance(shape)
+        seen, compute = [], cluster.worker_compute
+
+        def counted(share):
+            seen.append(threading.active_count())
+            return compute(share)
+
+        monkeypatch.setattr(cluster, "worker_compute", counted)
+        before = threading.active_count()
+        c, rep = run(PolyScheme(BIG), a, b, shape, seed=3, clock="threads", time_scale=0.001)
+        assert c == oracle and len(seen) == 64
+        assert max(seen) <= before + min(64, os.cpu_count() or 2)
+        assert threading.active_count() == before
+
     def test_import_leaves_the_pool_module_unloaded(self):
         code = "import sys, polycode; print('concurrent.futures' in sys.modules)"
         env = dict(os.environ, PYTHONPATH=str(Path(polycode.__file__).parents[1]))

@@ -159,6 +159,16 @@ class TestConvDecode:
         with pytest.raises(DuplicateEvaluationPoint):
             conv_decode(results, 2, 2, F7)
 
+    def test_negative_worker_ids_are_dropped(self):
+        # No worker holds id -1: its result is dropped, not read at the
+        # point -1, which is 6 in F_7.
+        blocks = split_vector([1, 2, 3, 4], 2, F7)
+        results = [conv_worker_compute(sh, F7) for sh in conv_encode(blocks, blocks, 4, F7)]
+        results[0] = dataclasses.replace(results[0], worker_id=-1)
+        with pytest.raises(NotEnoughResults):
+            conv_decode(results[:3], 2, 2, F7)
+        assert list(conv_decode(results, 2, 2, F7)) == schoolbook([1, 2, 3, 4], [1, 2, 3, 4], 7)
+
     def test_points_are_the_picked_worker_ids(self, monkeypatch):
         # The lowest m+n-1 distinct worker ids, whatever the results' order;
         # neither a share nor a result carries a point of its own.

@@ -74,6 +74,10 @@ class TestLatencyModel:
         drawn = set(model.sample(200, rng))
         assert drawn == {1.0, 3.0}
 
+    def test_empirical_samples_may_be_an_array(self):
+        model = LatencyModel(kind="empirical", samples=np.array([1.0, 3.0]))
+        assert set(model.sample(200, np.random.default_rng(2))) == {1.0, 3.0}
+
     def test_seed_reproducibility(self):
         a = sample_latency(LatencyModel(), 5, seed=9, trials=50)
         b = sample_latency(LatencyModel(), 5, seed=9, trials=50)
@@ -121,9 +125,21 @@ class TestLatencyModel:
         (lambda: scheme_latency(get_scheme("poly", BIG), PROBE_SHAPE, [1, "a"]), InvalidParameters),
         (lambda: scheme_latency_batch(get_scheme("poly", BIG), PROBE_SHAPE, [[1, 2], [3]]),
          InvalidParameters),
+        (lambda: sample_latency(None, 5, 0, 2), InvalidModelParams),
+        (lambda: dominance_check(["poly"], None, PROBE_SHAPE, 2, 0), InvalidModelParams),
+        (lambda: run(get_scheme("poly", BIG), *PROBE_INPUTS, PROBE_SHAPE, plan=None),
+         InvalidParameters),
+        (lambda: run(get_scheme("poly", BIG), *PROBE_INPUTS, PROBE_SHAPE, base_model="x"),
+         InvalidParameters),
+        # Fields the mode or kind does not read are checked all the same.
+        (lambda: StragglerPlan("none", delays=(-1.0,)), InvalidParameters),
+        (lambda: LatencyModel("deterministic", rate=0), InvalidModelParams),
+        (lambda: LatencyModel(samples=(-1.0,)), InvalidModelParams),
     ),
     ids=("model_shift", "model_samples", "plan_delays", "plan_factor", "trials", "embed_reals",
-         "unembed_reals", "unembed_truncated", "scheme_latency", "scheme_latency_batch"),
+         "unembed_reals", "unembed_truncated", "scheme_latency", "scheme_latency_batch",
+         "sample_latency_model", "dominance_check_model", "run_plan", "run_base_model",
+         "unread_plan_delays", "unread_model_rate", "unread_model_samples"),
 )
 def test_parameters_that_are_not_numbers_raise_typed_errors(probe, error):
     with pytest.raises(error):
