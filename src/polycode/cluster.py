@@ -187,8 +187,8 @@ def run(
     if not isinstance(base_model, LatencyModel):
         raise InvalidParameters(f"base_model is a {type(base_model).__name__}, not a LatencyModel")
     seed = as_natural(seed, "seed")
-    scheme.validate(shape)
     scheme.check_inputs(a, b, shape)
+    scheme.validate(shape)
     rng = np.random.default_rng(seed)
     # Sample over the full configured N so the straggler pick is comparable
     # across schemes that spawn fewer workers (e.g. uncoded uses only mn).

@@ -39,10 +39,15 @@ def conv_direct(a, b, ctx: FieldCtx):
     b = as_vector(b, ctx)
     if len(a) == 0 or len(b) == 0:
         raise EmptyInput("convolution of an empty vector")
-    # Toeplitz matrix T[r, j] = a[r - j] (zero outside a), so T @ b = a * b.
-    pad = np.zeros(len(b) - 1, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate([pad, a, pad]), len(b))
-    return mulmod(windows[:, ::-1], b[:, None], ctx.q)[:, 0]
+    # Toeplitz matrix T[r, j] = a[r - j] (zero outside a), so T @ b = a * b:
+    # a read-only view of a zero-padded copy, one step down a row and one
+    # step back along it.
+    padded = np.zeros(len(a) + 2 * (len(b) - 1), dtype=np.int64)
+    padded[len(b) - 1 : len(b) - 1 + len(a)] = a
+    step = padded.strides[0]
+    toeplitz = np.lib.stride_tricks.as_strided(padded[len(b) - 1 :], (len(a) + len(b) - 1, len(b)),
+                                               (step, -step), writeable=False)
+    return mulmod(toeplitz, b[:, None], ctx.q)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -62,6 +67,8 @@ class ConvResult:
 
 def conv_encode(a_blocks: list, b_blocks: list, big_n: int, ctx: FieldCtx) -> list:
     """Worker i stores sum_j a_j i^j and sum_k b_k i^k."""
+    if not isinstance(ctx, FieldCtx):
+        raise InvalidParameters(f"ctx is a {type(ctx).__name__}, not a FieldCtx")
     if not a_blocks or not b_blocks:
         raise EmptyInput("need at least one block of each input")
     s = len(a_blocks[0])

@@ -40,16 +40,25 @@ def canonical(values, q: int) -> np.ndarray:
     """`values` reduced into [0, q), as an int64 array of the same shape.
 
     Integer ndarrays that fit in int64 are reduced in numpy. Anything else
-    (nested lists, Python ints of any size, floats, objects) goes through
-    `field_ints`, int(v) % q, so no value is wrapped or rounded in a
+    (nested lists, Python ints of any size, floats, objects) is read as
+    `field_ints` reads it, int(v) % q, so no value is wrapped or rounded in a
     fixed-width type before it is reduced. An entry that int(v) does not
     equal, such as 1.5, raises InvalidParameters; an integral float such as
-    2.0 is kept.
+    2.0 is kept. An object array is first cast to int64 in C, and kept when
+    every cast entry equals its object; on any other outcome (an entry past
+    int64, NaN, a str) `field_ints` reads it entry by entry.
     """
     arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
     kind, size = arr.dtype.kind, arr.dtype.itemsize
     if kind in "bi" or (kind == "u" and size < 8):
         return np.mod(arr.astype(np.int64), q)
+    if kind == "O":
+        try:
+            ints = arr.astype(np.int64)
+            if (ints == arr).all():
+                return np.mod(ints, q)
+        except (TypeError, ValueError, OverflowError):
+            pass
     return np.array(field_ints(arr.reshape(-1), q), dtype=np.int64).reshape(arr.shape)
 
 
@@ -226,6 +235,8 @@ class FMatrix:
     __slots__ = ("data", "ctx")
 
     def __init__(self, data, ctx: FieldCtx, _canonical: bool = False):
+        if not isinstance(ctx, FieldCtx):
+            raise InvalidParameters(f"ctx is a {type(ctx).__name__}, not a FieldCtx")
         arr = np.asarray(data, dtype=np.int64) if _canonical else canonical(data, ctx.q)
         if arr.ndim != 2:
             raise ShapeMismatch(f"expected a 2-D array, got ndim={arr.ndim}")
@@ -311,6 +322,8 @@ class ProblemShape:
 
 def split_cols(mat: FMatrix, parts: int) -> list:
     """Split into `parts` equal column blocks; concatenation restores the input."""
+    if not isinstance(mat, FMatrix):
+        raise InvalidParameters(f"mat is a {type(mat).__name__}, not an FMatrix")
     parts = as_int(parts, "parts")
     if parts < 1 or mat.cols % parts:
         raise NonDivisiblePartition(f"{parts} does not divide {mat.cols} columns")
@@ -323,6 +336,8 @@ def split_cols(mat: FMatrix, parts: int) -> list:
 
 def transpose_mul(a: FMatrix, b: FMatrix) -> FMatrix:
     """Exact C = A^T B over F_q."""
+    if not (isinstance(a, FMatrix) and isinstance(b, FMatrix)):
+        raise InvalidParameters(f"operands are a {type(a).__name__} and a {type(b).__name__}, not FMatrix")
     if a.ctx != b.ctx:
         raise ShapeMismatch("operands live in different fields")
     if a.rows != b.rows:

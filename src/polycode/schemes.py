@@ -32,8 +32,7 @@ from .errors import (
     ShapeMismatch,
     TooManyWorkersForField,
 )
-from .field import (FieldCtx, Poly, _key_equation, _master, as_int, invert_matrix,
-                    lagrange_weight_matrix)
+from .field import FieldCtx, Poly, _check_distinct, _key_equation, _master, as_int
 from .matrixcore import (
     FMatrix,
     ProblemShape,
@@ -61,6 +60,8 @@ class WorkerResult:
 
 
 def worker_compute(share: WorkerShare) -> WorkerResult:
+    if not isinstance(share, WorkerShare):
+        raise InvalidParameters(f"share is a {type(share).__name__}, not a WorkerShare")
     return WorkerResult(share.worker_id, transpose_mul(share.a_tilde, share.b_tilde))
 
 
@@ -80,9 +81,9 @@ def _coded_stack(gen, mat: FMatrix, parts: int, rows: np.ndarray) -> np.ndarray:
     blocks = mat.data.reshape(mat.rows, parts, -1).transpose(1, 0, 2)
     if gen is None:
         return blocks[rows]
-    distinct, where = np.unique(rows, return_inverse=True)
+    distinct = np.flatnonzero(np.bincount(rows, minlength=len(gen)))
     coded = mulmod(gen[distinct], blocks.reshape(parts, -1), mat.ctx.q)
-    return coded.reshape(len(distinct), *blocks.shape[1:])[where]
+    return coded.reshape(len(distinct), *blocks.shape[1:])[np.searchsorted(distinct, rows)]
 
 
 def _first_per_worker(results: list) -> dict:
@@ -107,11 +108,14 @@ def _vandermonde(xs, exps, ctx: FieldCtx) -> np.ndarray:
     return _vandermonde_of(tuple(map(operator.index, xs)), tuple(map(operator.index, exps)), ctx)
 
 
-@functools.lru_cache(maxsize=256)
-def _vandermonde_of(xs: tuple, exps: tuple, ctx: FieldCtx) -> np.ndarray:
-    gen = canonical([[ctx.pow(x, e) for e in exps] for x in xs], ctx.q)
-    gen.flags.writeable = False
-    return gen
+def _powers(xs, exps, ctx: FieldCtx) -> np.ndarray:
+    """Row i holds xs[i]**e for each exponent e, read-only."""
+    rows = canonical([[ctx.pow(x, e) for e in exps] for x in xs], ctx.q)
+    rows.flags.writeable = False
+    return rows
+
+
+_vandermonde_of = functools.lru_cache(maxsize=256)(_powers)
 
 
 @functools.lru_cache(maxsize=256)
@@ -141,29 +145,140 @@ def systematic_generator(total: int, k: int, ctx: FieldCtx) -> np.ndarray:
     return gen
 
 
+def _batch_inverse(values: list, q: int) -> list:
+    """The inverses mod q of the nonzero Python ints `values`, with one `pow`
+    and about three products a value (Montgomery's trick)."""
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % q)
+    run = pow(prefix[-1], -1, q)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = run * prefix[i] % q
+        run = run * values[i] % q
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _small_inverses(total: int, ctx: FieldCtx) -> np.ndarray:
+    """Entry d holds 1/d mod q for d = 1..total-1 (entry 0 is 0), for
+    total <= q; built once per (total, field) and read-only."""
+    inv = np.array([0] + _batch_inverse(list(range(1, total)), ctx.q), dtype=np.int64)
+    inv.flags.writeable = False
+    return inv
+
+
 @functools.lru_cache(maxsize=1024)
 def _line_coeffs(total: int, k: int, ctx: FieldCtx, have: tuple, want: tuple) -> np.ndarray:
     """Coefficients of the blocks at positions `want` of a line of workers,
-    in terms of the blocks at its k positions `have`.
+    in terms of the blocks at its k distinct positions `have`.
 
     Position j of the line holds gen[j] U for the systematic (total, k)
-    generator and k unknown blocks U, so U = inv(gen[have]) times the known
-    blocks, and the wanted blocks are gen[want] inv(gen[have]) times them.
-    The len(want) x k array is built once per erasure pattern and field, and
-    is read-only.
+    generator and k unknown blocks U, so U = T times the known blocks, with
+    T = inv(gen[have]), and the wanted blocks are gen[want] T: one `mulmod`.
+    T is built in closed form. Its rows at the known systematic positions S
+    pick those blocks. The unknown systematic positions U, as many as the
+    known parity positions P, solve C[P, U] u_U = y_P - C[P, S] y_S, where
+    C[P, U] = diag(r) K diag(c) with K_ij = 1/(a_i - b_j), a = P, b = U,
+    r_i = a_i/k and c_j = k - b_j (`systematic_generator`'s scaling). The
+    inverse of the Cauchy matrix K (Schechter, "On the inversion of certain
+    matrices", 1959) is
+        K^-1[j][i] = (-1)^(n-1) F_j G_i / (a_i - b_j),
+        F_j = prod_l (a_l - b_j) / prod_(l != j) (b_j - b_l),
+        G_i = prod_l (a_i - b_l) / prod_(l != i) (a_i - a_l),
+    for n = |P|; without the sign it is wrong for even n. So T's rows U are
+    diag((-1)^(n-1) F / c) K^T diag(G / r) [-C[P, S] | I], in `have`'s
+    column order: three `mulmod`s. F and G are exact products of small
+    integers, inverted together with one `pow`, and 1/(a_i - b_j) is read
+    from `_small_inverses`. The len(want) x k array is built once per
+    erasure pattern and field, and is read-only.
     """
+    if len(have) != k or len(set(have)) != k:
+        raise InvalidParameters(f"a line needs {k} distinct known positions, got {have}")
     q = ctx.q
-    # Python ints: field.py arithmetic must never see fixed-width scalars.
-    rows = systematic_generator(total, k, ctx).tolist()
-    inv = invert_matrix([rows[j] for j in have], q)
-    coeffs = np.array([[sum(w * v for w, v in zip(rows[j], col)) % q for col in zip(*inv)]
-                       for j in want], dtype=np.int64)
+    gen = systematic_generator(total, k, ctx)
+    col = {h: c for c, h in enumerate(have)}
+    known = [h for h in have if h < k]
+    parity = [h for h in have if h >= k]
+    unknown = [j for j in range(k) if j not in col]
+    n = len(parity)
+    inv = np.zeros((k, k), dtype=np.int64)
+    inv[known, [col[h] for h in known]] = 1
+    if n:
+        sign = -1 if n % 2 == 0 else 1
+        nums = [sign * math.prod(a - b for a in parity) for b in unknown]
+        nums += [k * math.prod(a - b for b in unknown) for a in parity]
+        dens = [(k - b) * math.prod(b - l for l in unknown if l != b) for b in unknown]
+        dens += [a * math.prod(a - l for l in parity if l != a) for a in parity]
+        ratios = [x * y % q for x, y in zip(nums, _batch_inverse([d % q for d in dens], q))]
+        rhs = np.zeros((n, k), dtype=np.int64)
+        rhs[:, [col[h] for h in known]] = (q - gen[np.ix_(parity, known)]) % q
+        rhs[range(n), [col[a] for a in parity]] = 1
+        cauchy_t = _small_inverses(total, ctx)[np.subtract.outer(parity, unknown).T]
+        rhs = mulmod(np.diag(np.array(ratios[n:], dtype=np.int64)), rhs, q)
+        inv[unknown] = mulmod(np.diag(np.array(ratios[:n], dtype=np.int64)),
+                              mulmod(cauchy_t, rhs, q), q)
+    coeffs = mulmod(gen[list(want)], inv, q)
     coeffs.flags.writeable = False
     return coeffs
 
 
+# Points a leaf of `_master_poly`'s product tree: multiplying out four linear
+# factors in Python costs less than one kernel call.
+_LEAF = 4
+
+
+@functools.lru_cache(maxsize=16)
+def _toeplitz_index(d: int) -> np.ndarray:
+    """Index of the (2d - 1) x d Toeplitz matrix T[r, c] = a[r - c] of a
+    polynomial a of d coefficients, read from a with a zero at index d:
+    T times b's coefficients is a * b."""
+    r = np.subtract.outer(np.arange(2 * d - 1), np.arange(d))
+    return np.where((r >= 0) & (r < d), r, d)
+
+
+def _master_poly(xs: list, q: int) -> list:
+    """prod (X - x) over the canonical points xs, len(xs) + 1 coefficients
+    lowest degree first. The points are multiplied out in Python `_LEAF` at a
+    time, then the leaves in pairs, a level of the product tree per batched
+    `mulmod` of Toeplitz matrices and coefficient vectors."""
+    leaves = [_master(xs[i : i + _LEAF], q) for i in range(0, len(xs), _LEAF)]
+    # A power of two of leaves, padded with the polynomial 1; each row ends
+    # in a zero, which the Toeplitz index reads.
+    leaves += [[1]] * ((1 << (len(leaves) - 1).bit_length()) - len(leaves))
+    polys = np.array([leaf + [0] * (_LEAF + 2 - len(leaf)) for leaf in leaves], dtype=np.int64)
+    while len(polys) > 1:
+        d = polys.shape[1] - 1
+        prod = mulmod(polys[0::2, _toeplitz_index(d)], polys[1::2, :d, None], q)
+        polys = np.zeros((len(prod), 2 * d), dtype=np.int64)
+        polys[:, :-1] = prod[:, :, 0]
+    return polys[0, : len(xs) + 1].tolist()
+
+
+def _power_rows(xs: list, k: int, ctx: FieldCtx) -> np.ndarray:
+    """Rows x**0 .. x**(k-1) at the canonical points xs, read from the
+    Vandermonde of 0..n-1, n the next power of two above the largest point:
+    one table per (n, k, field) serves every point set of that span. A set
+    spread past n = 4k, whose table would cost more than four sets' own
+    rows, gets its own."""
+    n = 1 << max(xs).bit_length()
+    if n <= 4 * k:
+        return _vandermonde(range(n), range(k), ctx)[xs]
+    return _powers(xs, range(k), ctx)
+
+
+@functools.lru_cache(maxsize=16)
+def _hankel_index(k: int) -> np.ndarray:
+    """Index of the (k + 1) x k left factor of `_interpolation_weights_of`,
+    read from M's k + 1 coefficients, a zero and the k coefficients of M':
+    row d < k holds M[d + 1 + j] (zero past M's end), row k holds M'."""
+    hankel = np.add.outer(np.arange(k), np.arange(k)) + 1
+    return np.vstack([np.minimum(hankel, k + 1), np.arange(k + 2, 2 * k + 2)])
+
+
 def _interpolation_weights(xs, ctx: FieldCtx) -> np.ndarray:
-    """`lagrange_weight_matrix` at the points xs as an int64 array, built once
+    """Weights W with coeffs[d] = sum_i W[d][i] * y_i for interpolation at
+    the points xs, the `lagrange_weight_matrix`, as an int64 array built once
     per (points, field) and read-only. Repeated points raise
     DuplicateEvaluationPoint on every call."""
     return _interpolation_weights_of(tuple(map(operator.index, xs)), ctx)
@@ -171,7 +286,21 @@ def _interpolation_weights(xs, ctx: FieldCtx) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _interpolation_weights_of(xs: tuple, ctx: FieldCtx) -> np.ndarray:
-    weights = np.array(lagrange_weight_matrix(list(xs), ctx), dtype=np.int64)
+    """Column i of W is M(X)/(X - x_i) divided by M'(x_i), M = prod (X - x).
+    The quotient's coefficients are num[d, i] = sum_j M[d+1+j] x_i^j, a Hankel
+    matrix of M's coefficients times V^T, V the K x K Vandermonde of the
+    points, and M'(x_i) = V (j M[j])_j. Both are one stacked `mulmod`; the K
+    denominators are inverted with one `pow`, and the columns scaled by one
+    more `mulmod` with a diagonal right factor."""
+    _check_distinct(xs, ctx)
+    q, k = ctx.q, len(xs)
+    pts = [x % q for x in xs]
+    master = _master_poly(pts, q)
+    deriv = [(j + 1) * c % q for j, c in enumerate(master[1:])]
+    left = np.array(master + [0] + deriv, dtype=np.int64)[_hankel_index(k)]
+    num = mulmod(left, _power_rows(pts, k, ctx).T, q)
+    scale = np.diag(np.array(_batch_inverse(num[k].tolist(), q), dtype=np.int64))
+    weights = mulmod(num[:k], scale, q)
     weights.flags.writeable = False
     return weights
 
@@ -291,9 +420,14 @@ class Scheme:
         raise NotImplementedError
 
     def check_inputs(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> None:
-        """Raise ShapeMismatch unless A and B live over the scheme's field,
-        and InvalidParameters unless A is s x r and B is s x t."""
+        """Raise InvalidParameters unless A and B are FMatrix and shape a
+        ProblemShape, ShapeMismatch unless A and B live over the scheme's
+        field, and InvalidParameters unless A is s x r and B is s x t."""
+        if not isinstance(shape, ProblemShape):
+            raise InvalidParameters(f"shape is a {type(shape).__name__}, not a ProblemShape")
         for name, mat in (("A", a), ("B", b)):
+            if not isinstance(mat, FMatrix):
+                raise InvalidParameters(f"{name} is a {type(mat).__name__}, not an FMatrix")
             if mat.ctx != self.ctx:
                 raise ShapeMismatch(f"{name} lives over F_{mat.ctx.q}, the scheme over F_{self.ctx.q}")
         if a.rows != shape.s or a.cols != shape.r:
@@ -351,9 +485,14 @@ class Scheme:
         a result, and the first result of each, stacked in that order. Raises
         ShapeMismatch for a kept block of the wrong shape, then
         NotEnoughResults unless the kept ids are decodable. `_Accepted`
-        results, which need no shares, are returned as they are."""
+        results, which need no shares, are returned as they are. Results and
+        shares that are not lists of WorkerResult and WorkerShare raise
+        InvalidParameters."""
         if isinstance(results, _Accepted):
             return results.ids, results.blocks
+        for name, items, cls in (("results", results, WorkerResult), ("shares", shares, WorkerShare)):
+            if not isinstance(items, (list, tuple)) or not all(isinstance(x, cls) for x in items):
+                raise InvalidParameters(f"{self.name}: {name} must be a list of {cls.__name__}")
         held = {s.worker_id for s in shares}
         first = _first_per_worker(results)
         ids = sorted(i for i in first if i in held)

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DominanceViolation, InvalidModelParams, InvalidParameters, NeverDecodable, ShapeMismatch
+from .errors import (DominanceViolation, InvalidModelParams, InvalidParameters, NeverDecodable,
+                     PolycodeError, ShapeMismatch)
 from .field import FieldCtx, as_int, as_natural
 from .matrixcore import ProblemShape
 from .schemes import Scheme, get_scheme
@@ -161,14 +162,19 @@ def dominance_check(
 
     Every scheme's latency is computed on the SAME completion-time sample as
     the polynomial code's; any strictly smaller value raises DominanceViolation.
-    Every scheme is built and validated before any sample is drawn.
+    Every scheme is built and validated before any sample is drawn; a scheme
+    that cannot run at `shape` raises its error with its name in front.
     """
     ctx = ctx or FieldCtx()
     if "poly" not in scheme_names:
         scheme_names = ["poly"] + list(scheme_names)
     schemes = {name: get_scheme(name, ctx) for name in scheme_names}
-    for scheme in schemes.values():
-        scheme.validate(shape)
+    for name, scheme in schemes.items():
+        try:
+            scheme.validate(shape)
+        except PolycodeError as exc:
+            raise type(exc)(f"{name}: {exc} (polycode sim --schemes chooses the schemes "
+                            f"compared besides poly)") from None
     samples = sample_latency(model, shape.N, seed, trials)
     report = DominanceReport(shape=shape, trials=trials, seed=seed)
     for name, scheme in schemes.items():

@@ -137,6 +137,16 @@ class TestSimCommand:
         for name in ("latency.csv", "ccdf.csv", "summary.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    def test_a_scheme_that_cannot_run_is_named(self, tmp_path, capsys):
+        # All four schemes by default: mds1d cannot split N = 9 into n = 2
+        # groups, while poly, product and uncoded could run.
+        code = main(["sim", "--N", "9", "--m", "2", "--n", "2", "--trials", "50",
+                     "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mds1d: n=2 does not divide N=9") and "--schemes" in err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_scheme_is_error(self, tmp_path, capsys):
         code = main(["sim", "--N", "8", "--m", "2", "--n", "2",
                      "--schemes", "warp", "--out-dir", str(tmp_path)])

@@ -67,6 +67,18 @@ class TestConvDirect:
             b = list(rng.integers(0, BIG.q, size=int(rng.integers(1, 9))))
             assert list(conv_direct(a, b, BIG)) == schoolbook(a, b, BIG.q)
 
+    @pytest.mark.parametrize("ctx", (F7, BIG), ids=("q7", "q31"))
+    def test_every_length_to_64(self, ctx):
+        # Equal and ragged lengths, either one the longer.
+        rng = np.random.default_rng(64)
+        for la in range(1, 65):
+            for lb in (1, 2, 3, la, 17, 64):
+                a = rng.integers(0, ctx.q, size=la)
+                b = rng.integers(0, ctx.q, size=lb)
+                got = conv_direct(a, b, ctx)
+                assert got.dtype == np.int64 and list(got) == schoolbook(a, b, ctx.q)
+                assert list(conv_direct(b, a, ctx)) == list(got)
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             conv_direct([], [1], F7)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockgrid import assemble_blocks
 from polycode.errors import (
@@ -8,10 +10,11 @@ from polycode.errors import (
     NonDivisiblePartition,
     ShapeMismatch,
 )
-from polycode.field import FieldCtx
+from polycode.field import FieldCtx, field_ints
 from polycode.matrixcore import (
     FMatrix,
     ProblemShape,
+    canonical,
     lincomb,
     load_matrix,
     save_matrix,
@@ -199,6 +202,29 @@ class TestStorage:
     def test_integral_float_entries_are_kept(self):
         assert FMatrix([[2.0, -1.0]], F7).data.tolist() == [[2, 6]]
         assert FMatrix(np.array([[9.0, 0.0]]), F7).data.tolist() == [[2, 0]]
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        q=st.sampled_from((7, 2**31 - 1, 2**61 - 1)),
+        entries=st.lists(st.one_of(
+            st.integers(), st.integers(-2**70, 2**70), st.booleans(), st.none(),
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(-2**60, 2**60).map(float),
+            st.integers(-100, 100).map(str)), max_size=12),
+    )
+    def test_object_arrays_read_as_field_ints_reads_them(self, q, entries):
+        # The int64 cast of an object array must give what field_ints gives
+        # entry by entry, or raise InvalidParameters where it does.
+        arr = np.empty(len(entries), dtype=object)
+        arr[:] = entries
+        try:
+            want = field_ints(entries, q)
+        except InvalidParameters:
+            with pytest.raises(InvalidParameters):
+                canonical(arr, q)
+        else:
+            got = canonical(arr, q)
+            assert got.dtype == np.int64 and got.tolist() == want
 
     def test_digest_pinned(self):
         # Hex digests of the object-array storage this int64 storage replaced:

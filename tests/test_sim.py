@@ -16,8 +16,9 @@ from polycode.errors import (
     ShapeMismatch,
 )
 from polycode.field import FieldCtx, embed_reals, unembed_reals
-from polycode.matrixcore import FMatrix, ProblemShape
-from polycode.schemes import SCHEME_NAMES, ProductScheme, Scheme, get_scheme
+from polycode.convolution import conv_encode
+from polycode.matrixcore import FMatrix, ProblemShape, split_cols, transpose_mul
+from polycode.schemes import SCHEME_NAMES, ProductScheme, Scheme, get_scheme, worker_compute
 from polycode.sim import (
     LatencyModel,
     ccdf_table,
@@ -165,6 +166,34 @@ PROBE_INPUTS = [FMatrix.zeros(4, 4, BIG)] * 2
 def test_seeds_and_precision_must_be_non_negative_integers(probe, bad):
     with pytest.raises(InvalidParameters):
         probe(bad)
+
+
+PROBE_SHARES = get_scheme("poly", BIG).encode(*PROBE_INPUTS, PROBE_SHAPE)
+PROBE_RESULTS = [worker_compute(sh) for sh in PROBE_SHARES]
+
+
+@pytest.mark.parametrize(
+    "probe",
+    (
+        lambda: FMatrix([[1]], None),
+        lambda: split_cols(None, 2),
+        lambda: transpose_mul("a", PROBE_INPUTS[1]),
+        lambda: get_scheme("poly", BIG).encode(*PROBE_INPUTS, None),
+        lambda: conv_encode([[1, 2]], [[3, 4]], 3, None),
+        lambda: run(get_scheme("poly", BIG), None, PROBE_INPUTS[1], PROBE_SHAPE),
+        lambda: run(get_scheme("poly", BIG), *PROBE_INPUTS, None),
+        lambda: worker_compute(None),
+        lambda: get_scheme("poly", BIG).decode(None, PROBE_SHARES, PROBE_SHAPE),
+        lambda: get_scheme("poly", BIG).decode([1], PROBE_SHARES, PROBE_SHAPE),
+        lambda: get_scheme("poly", BIG).decode(PROBE_RESULTS, None, PROBE_SHAPE),
+    ),
+    ids=("fmatrix_ctx", "split_cols", "transpose_mul", "encode_shape", "conv_encode_ctx",
+         "run_a", "run_shape", "worker_compute", "decode_results_none", "decode_results_int",
+         "decode_shares_none"),
+)
+def test_objects_of_the_wrong_type_raise_typed_errors(probe):
+    with pytest.raises(InvalidParameters):
+        probe()
 
 
 class TestSchemeLatency:

@@ -9,7 +9,7 @@ independent of the row and column rounds of `ProductScheme._solve`.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from blockgrid import assemble_blocks
 from polycode import schemes
 from polycode.convolution import conv_decode, conv_direct, conv_encode, conv_worker_compute
-from polycode.errors import DuplicateEvaluationPoint, NotEnoughResults
+from polycode.errors import DuplicateEvaluationPoint, InvalidParameters, NotEnoughResults
 from polycode.field import FieldCtx, invert_matrix, lagrange_weight_matrix
 from polycode.matrixcore import FMatrix, ProblemShape, lincomb, transpose_mul
 from polycode.schemes import (
@@ -203,6 +203,63 @@ class TestCaches:
                                for col in zip(*inv)] for j in want]
                     assert _line_coeffs(5, 2, ctx, have, want).tolist() == expect
 
+    @pytest.mark.parametrize("ctx", FIELDS[1:], ids=("q257", "q31", "q61"))
+    def test_line_coefficients_at_side_20(self, ctx):
+        # Random erasure patterns of a (20, 16) line, as a product grid of
+        # side 20 peels them, and of a (20, 10) line.
+        rng = np.random.default_rng(20)
+        for k in (16, 10):
+            gen = systematic_generator(20, k, ctx).tolist()
+            for _ in range(15):
+                have = tuple(sorted(rng.choice(20, k, replace=False).tolist()))
+                want = tuple(j for j in range(20) if j not in have)
+                inv = invert_matrix([gen[j] for j in have], ctx.q)
+                expect = [[sum(w * v for w, v in zip(gen[j], col)) % ctx.q
+                           for col in zip(*inv)] for j in want]
+                assert _line_coeffs(20, k, ctx, have, want).tolist() == expect
+
+    @pytest.mark.parametrize("ctx", FIELDS, ids=("q7", "q257", "q31", "q61"))
+    @pytest.mark.parametrize("total,k", ((4, 1), (4, 4), (6, 3), (7, 4)))
+    def test_line_coefficients_at_every_ordered_pattern(self, ctx, total, k):
+        # Every known set in every order, so the inverse's columns follow
+        # `have`; each asks for every position of the line.
+        gen = systematic_generator(total, k, ctx).tolist()
+        for have in permutations(range(total), k):
+            inv = invert_matrix([gen[j] for j in have], ctx.q)
+            expect = [[sum(w * v for w, v in zip(row, col)) % ctx.q for col in zip(*inv)]
+                      for row in gen]
+            assert _line_coeffs(total, k, ctx, have, tuple(range(total))).tolist() == expect
+
+    def test_a_repeated_known_position_is_singular(self):
+        with pytest.raises(InvalidParameters):
+            _line_coeffs(5, 2, BIG, (1, 1), (0,))
+
+    @pytest.mark.parametrize("q", (7, 257, 2**31 - 1, 2**61 - 1, 2**62 - 57))
+    def test_interpolation_weights_match_lagrange_weight_matrix(self, q):
+        # K = 1..17, then both sides of each product-tree level up to 256,
+        # at points packed near 0 and, where q allows, anywhere in F_q; up
+        # to K = 17 also spread over 16K.
+        ctx = FieldCtx(q)
+        rng = np.random.default_rng(q % 1000)
+        sizes = [k for k in (*range(1, 18), 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256)
+                 if k <= q]
+        for k in sizes:
+            for span in (k + 2, q) if k > 17 else (k + 2, 16 * k + 16, q):
+                xs = rng.choice(min(span, q), k, replace=False).tolist()
+                got = schemes._interpolation_weights_of(tuple(xs), ctx)
+                assert got.tolist() == lagrange_weight_matrix(xs, ctx), (k, span)
+
+    @pytest.mark.parametrize("q", (7, 2**31 - 1, 2**62 - 57))
+    def test_repeated_points_raise_at_every_size(self, q):
+        ctx = FieldCtx(q)
+        for k in (2, 3, 5, 7, 17, 64):
+            if k > q:
+                continue
+            xs = list(range(k - 1)) + [(k - 2) // 2 + q]  # (k - 2) // 2 again, mod q
+            for _ in range(3):
+                with pytest.raises(DuplicateEvaluationPoint):
+                    _interpolation_weights(xs, ctx)
+
     def test_interpolation_weights_are_read_only_and_one_object_per_key(self):
         weights = _interpolation_weights([0, 1, 2, 3], BIG)
         assert weights is _interpolation_weights(np.arange(4), BIG)
@@ -224,14 +281,7 @@ class TestCaches:
         ("mds1d", 12, [1, 2, 3, 4, 6, 7, 8, 9, 11]),
         ("product", 16, [0, 2, 3, 5, 6, 7, 9, 10, 12, 14, 15]),
     ])
-    def test_a_repeated_erasure_pattern_inverts_nothing(self, monkeypatch, name, big_n, ids):
-        calls = []
-
-        def counted(mat, q):
-            calls.append(len(mat))
-            return invert_matrix(mat, q)
-
-        monkeypatch.setattr(schemes, "invert_matrix", counted)
+    def test_a_repeated_erasure_pattern_inverts_nothing(self, name, big_n, ids):
         _line_coeffs.cache_clear()
         shape = ProblemShape(s=6, r=6, t=3, m=3, n=3, N=big_n) if name == "mds1d" else \
             ProblemShape(s=6, r=3, t=6, m=3, n=3, N=big_n)
@@ -239,19 +289,12 @@ class TestCaches:
         shares, results, product = instance(scheme, shape, seed=5)
         picked = [results[i] for i in ids]
         assert scheme.decode(picked, shares, shape) == product
-        assert calls
-        del calls[:]
+        built = _line_coeffs.cache_info().misses
+        assert built
         assert scheme.decode(picked[::-1], shares, shape) == product
-        assert calls == []
+        assert _line_coeffs.cache_info().misses == built
 
-    def test_poly_and_convolution_share_the_weights(self, monkeypatch):
-        calls = []
-
-        def counted(xs, ctx):
-            calls.append(tuple(xs))
-            return lagrange_weight_matrix(xs, ctx)
-
-        monkeypatch.setattr(schemes, "lagrange_weight_matrix", counted)
+    def test_poly_and_convolution_share_the_weights(self):
         schemes._interpolation_weights_of.cache_clear()
         shape = ProblemShape(s=4, r=2, t=2, m=2, n=2, N=6)
         scheme = PolyScheme(BIG)
@@ -262,4 +305,6 @@ class TestCaches:
         conv = [conv_worker_compute(sh, BIG) for sh in conv_encode(a, b, 6, BIG)]
         got = conv_decode(conv[1:5], 3, 2, BIG)
         assert got.tolist() == conv_direct(np.concatenate(a), np.concatenate(b), BIG).tolist()
-        assert calls == [(1, 2, 3, 4)]
+        assert schemes._interpolation_weights_of.cache_info().misses == 1
+        _interpolation_weights([1, 2, 3, 4], BIG)
+        assert schemes._interpolation_weights_of.cache_info().misses == 1
