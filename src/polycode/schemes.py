@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     TooManyWorkersForField,
 )
-from .field import FieldCtx, Poly, _check_distinct, _key_equation, _master, as_int
+from .field import FieldCtx, Poly, _check_distinct, _key_equation, _master, as_int, invert_matrix
 from .matrixcore import (
     FMatrix,
     ProblemShape,
@@ -108,14 +108,11 @@ def _vandermonde(xs, exps, ctx: FieldCtx) -> np.ndarray:
     return _vandermonde_of(tuple(map(operator.index, xs)), tuple(map(operator.index, exps)), ctx)
 
 
-def _powers(xs, exps, ctx: FieldCtx) -> np.ndarray:
-    """Row i holds xs[i]**e for each exponent e, read-only."""
-    rows = canonical([[ctx.pow(x, e) for e in exps] for x in xs], ctx.q)
-    rows.flags.writeable = False
-    return rows
-
-
-_vandermonde_of = functools.lru_cache(maxsize=256)(_powers)
+@functools.lru_cache(maxsize=256)
+def _vandermonde_of(xs: tuple, exps: tuple, ctx: FieldCtx) -> np.ndarray:
+    gen = canonical([[ctx.pow(x, e) for e in exps] for x in xs], ctx.q)
+    gen.flags.writeable = False
+    return gen
 
 
 @functools.lru_cache(maxsize=256)
@@ -145,6 +142,27 @@ def systematic_generator(total: int, k: int, ctx: FieldCtx) -> np.ndarray:
     return gen
 
 
+@functools.lru_cache(maxsize=1024)
+def _line_coeffs(total: int, k: int, ctx: FieldCtx, have: tuple, want: tuple) -> np.ndarray:
+    """Coefficients of the blocks at positions `want` of a line of workers,
+    in terms of the blocks at its k positions `have`.
+
+    Position j of the line holds gen[j] U for the systematic (total, k)
+    generator and k unknown blocks U, so U = inv(gen[have]) times the known
+    blocks, and the wanted blocks are gen[want] inv(gen[have]) times them.
+    The len(want) x k array is built once per erasure pattern and field, and
+    is read-only.
+    """
+    q = ctx.q
+    # Python ints: field.py arithmetic must never see fixed-width scalars.
+    rows = systematic_generator(total, k, ctx).tolist()
+    inv = invert_matrix([rows[j] for j in have], q)
+    coeffs = np.array([[sum(w * v for w, v in zip(rows[j], col)) % q for col in zip(*inv)]
+                       for j in want], dtype=np.int64)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
 def _batch_inverse(values: list, q: int) -> list:
     """The inverses mod q of the nonzero Python ints `values`, with one `pow`
     and about three products a value (Montgomery's trick)."""
@@ -157,114 +175,6 @@ def _batch_inverse(values: list, q: int) -> list:
         out[i] = run * prefix[i] % q
         run = run * values[i] % q
     return out
-
-
-@functools.lru_cache(maxsize=64)
-def _small_inverses(total: int, ctx: FieldCtx) -> np.ndarray:
-    """Entry d holds 1/d mod q for d = 1..total-1 (entry 0 is 0), for
-    total <= q; built once per (total, field) and read-only."""
-    inv = np.array([0] + _batch_inverse(list(range(1, total)), ctx.q), dtype=np.int64)
-    inv.flags.writeable = False
-    return inv
-
-
-@functools.lru_cache(maxsize=1024)
-def _line_coeffs(total: int, k: int, ctx: FieldCtx, have: tuple, want: tuple) -> np.ndarray:
-    """Coefficients of the blocks at positions `want` of a line of workers,
-    in terms of the blocks at its k distinct positions `have`.
-
-    Position j of the line holds gen[j] U for the systematic (total, k)
-    generator and k unknown blocks U, so U = T times the known blocks, with
-    T = inv(gen[have]), and the wanted blocks are gen[want] T: one `mulmod`.
-    T is built in closed form. Its rows at the known systematic positions S
-    pick those blocks. The unknown systematic positions U, as many as the
-    known parity positions P, solve C[P, U] u_U = y_P - C[P, S] y_S, where
-    C[P, U] = diag(r) K diag(c) with K_ij = 1/(a_i - b_j), a = P, b = U,
-    r_i = a_i/k and c_j = k - b_j (`systematic_generator`'s scaling). The
-    inverse of the Cauchy matrix K (Schechter, "On the inversion of certain
-    matrices", 1959) is
-        K^-1[j][i] = (-1)^(n-1) F_j G_i / (a_i - b_j),
-        F_j = prod_l (a_l - b_j) / prod_(l != j) (b_j - b_l),
-        G_i = prod_l (a_i - b_l) / prod_(l != i) (a_i - a_l),
-    for n = |P|; without the sign it is wrong for even n. So T's rows U are
-    diag((-1)^(n-1) F / c) K^T diag(G / r) [-C[P, S] | I], in `have`'s
-    column order: three `mulmod`s. F and G are exact products of small
-    integers, inverted together with one `pow`, and 1/(a_i - b_j) is read
-    from `_small_inverses`. The len(want) x k array is built once per
-    erasure pattern and field, and is read-only.
-    """
-    if len(have) != k or len(set(have)) != k:
-        raise InvalidParameters(f"a line needs {k} distinct known positions, got {have}")
-    q = ctx.q
-    gen = systematic_generator(total, k, ctx)
-    col = {h: c for c, h in enumerate(have)}
-    known = [h for h in have if h < k]
-    parity = [h for h in have if h >= k]
-    unknown = [j for j in range(k) if j not in col]
-    n = len(parity)
-    inv = np.zeros((k, k), dtype=np.int64)
-    inv[known, [col[h] for h in known]] = 1
-    if n:
-        sign = -1 if n % 2 == 0 else 1
-        nums = [sign * math.prod(a - b for a in parity) for b in unknown]
-        nums += [k * math.prod(a - b for b in unknown) for a in parity]
-        dens = [(k - b) * math.prod(b - l for l in unknown if l != b) for b in unknown]
-        dens += [a * math.prod(a - l for l in parity if l != a) for a in parity]
-        ratios = [x * y % q for x, y in zip(nums, _batch_inverse([d % q for d in dens], q))]
-        rhs = np.zeros((n, k), dtype=np.int64)
-        rhs[:, [col[h] for h in known]] = (q - gen[np.ix_(parity, known)]) % q
-        rhs[range(n), [col[a] for a in parity]] = 1
-        cauchy_t = _small_inverses(total, ctx)[np.subtract.outer(parity, unknown).T]
-        rhs = mulmod(np.diag(np.array(ratios[n:], dtype=np.int64)), rhs, q)
-        inv[unknown] = mulmod(np.diag(np.array(ratios[:n], dtype=np.int64)),
-                              mulmod(cauchy_t, rhs, q), q)
-    coeffs = mulmod(gen[list(want)], inv, q)
-    coeffs.flags.writeable = False
-    return coeffs
-
-
-# Points a leaf of `_master_poly`'s product tree: multiplying out four linear
-# factors in Python costs less than one kernel call.
-_LEAF = 4
-
-
-@functools.lru_cache(maxsize=16)
-def _toeplitz_index(d: int) -> np.ndarray:
-    """Index of the (2d - 1) x d Toeplitz matrix T[r, c] = a[r - c] of a
-    polynomial a of d coefficients, read from a with a zero at index d:
-    T times b's coefficients is a * b."""
-    r = np.subtract.outer(np.arange(2 * d - 1), np.arange(d))
-    return np.where((r >= 0) & (r < d), r, d)
-
-
-def _master_poly(xs: list, q: int) -> list:
-    """prod (X - x) over the canonical points xs, len(xs) + 1 coefficients
-    lowest degree first. The points are multiplied out in Python `_LEAF` at a
-    time, then the leaves in pairs, a level of the product tree per batched
-    `mulmod` of Toeplitz matrices and coefficient vectors."""
-    leaves = [_master(xs[i : i + _LEAF], q) for i in range(0, len(xs), _LEAF)]
-    # A power of two of leaves, padded with the polynomial 1; each row ends
-    # in a zero, which the Toeplitz index reads.
-    leaves += [[1]] * ((1 << (len(leaves) - 1).bit_length()) - len(leaves))
-    polys = np.array([leaf + [0] * (_LEAF + 2 - len(leaf)) for leaf in leaves], dtype=np.int64)
-    while len(polys) > 1:
-        d = polys.shape[1] - 1
-        prod = mulmod(polys[0::2, _toeplitz_index(d)], polys[1::2, :d, None], q)
-        polys = np.zeros((len(prod), 2 * d), dtype=np.int64)
-        polys[:, :-1] = prod[:, :, 0]
-    return polys[0, : len(xs) + 1].tolist()
-
-
-def _power_rows(xs: list, k: int, ctx: FieldCtx) -> np.ndarray:
-    """Rows x**0 .. x**(k-1) at the canonical points xs, read from the
-    Vandermonde of 0..n-1, n the next power of two above the largest point:
-    one table per (n, k, field) serves every point set of that span. A set
-    spread past n = 4k, whose table would cost more than four sets' own
-    rows, gets its own."""
-    n = 1 << max(xs).bit_length()
-    if n <= 4 * k:
-        return _vandermonde(range(n), range(k), ctx)[xs]
-    return _powers(xs, range(k), ctx)
 
 
 @functools.lru_cache(maxsize=16)
@@ -291,14 +201,25 @@ def _interpolation_weights_of(xs: tuple, ctx: FieldCtx) -> np.ndarray:
     matrix of M's coefficients times V^T, V the K x K Vandermonde of the
     points, and M'(x_i) = V (j M[j])_j. Both are one stacked `mulmod`; the K
     denominators are inverted with one `pow`, and the columns scaled by one
-    more `mulmod` with a diagonal right factor."""
+    more `mulmod` with a diagonal right factor. V's rows are read from the
+    Vandermonde of 0..n-1, n the next power of two above the largest point,
+    when n <= 4K: at most four point sets' own rows, and every point set of
+    a decode with N <= 4K workers reads it."""
     _check_distinct(xs, ctx)
     q, k = ctx.q, len(xs)
     pts = [x % q for x in xs]
-    master = _master_poly(pts, q)
+    master = _master(pts, q)
     deriv = [(j + 1) * c % q for j, c in enumerate(master[1:])]
     left = np.array(master + [0] + deriv, dtype=np.int64)[_hankel_index(k)]
-    num = mulmod(left, _power_rows(pts, k, ctx).T, q)
+    span = 1 << max(pts).bit_length()
+    if span <= 4 * k:
+        powers = _vandermonde(range(span), range(k), ctx)[pts]
+    else:
+        # A point far past K, such as a worker id that `conv_decode` takes
+        # from outside at face value, gets uncached rows of its own: a
+        # table as long as that id would cost memory in proportion to it.
+        powers = _vandermonde_of.__wrapped__(tuple(pts), tuple(range(k)), ctx)
+    num = mulmod(left, powers.T, q)
     scale = np.diag(np.array(_batch_inverse(num[k].tolist(), q), dtype=np.int64))
     weights = mulmod(num[:k], scale, q)
     weights.flags.writeable = False

@@ -12,7 +12,7 @@ from polycode.errors import (
     NotEnoughResults,
     TooManyWorkersForField,
 )
-from polycode import convolution
+from polycode import convolution, schemes
 from polycode.field import FieldCtx
 from polycode.convolution import (
     ConvResult,
@@ -196,6 +196,17 @@ class TestConvDecode:
         results = [conv_worker_compute(shares[i], BIG) for i in (6, 2, 4, 2, 1, 5)]
         assert list(conv_decode(results, 2, 2, BIG)) == schoolbook(a, b, BIG.q)
         assert asked == [[1, 2, 4]]
+
+    def test_a_far_worker_id_builds_no_power_table(self):
+        # conv_decode reads a result's worker id at face value; a point far
+        # past the others is interpolated at, but no table as long as the id
+        # is built for it.
+        blocks = split_vector([1, 2, 3, 4], 2, BIG)
+        results = [conv_worker_compute(sh, BIG) for sh in conv_encode(blocks, blocks, 3, BIG)]
+        results[2] = dataclasses.replace(results[2], worker_id=10**4)
+        built = schemes._vandermonde_of.cache_info().misses
+        conv_decode(results, 2, 2, BIG)
+        assert schemes._vandermonde_of.cache_info().misses == built
 
     @pytest.mark.parametrize("m, n", ((1.5, 2), (2, "2"), (None, 1)))
     def test_partition_counts_must_be_integers(self, m, n):

@@ -9,7 +9,7 @@ independent of the row and column rounds of `ProductScheme._solve`.
 """
 
 import math
-from itertools import combinations, permutations
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -203,48 +203,20 @@ class TestCaches:
                                for col in zip(*inv)] for j in want]
                     assert _line_coeffs(5, 2, ctx, have, want).tolist() == expect
 
-    @pytest.mark.parametrize("ctx", FIELDS[1:], ids=("q257", "q31", "q61"))
-    def test_line_coefficients_at_side_20(self, ctx):
-        # Random erasure patterns of a (20, 16) line, as a product grid of
-        # side 20 peels them, and of a (20, 10) line.
-        rng = np.random.default_rng(20)
-        for k in (16, 10):
-            gen = systematic_generator(20, k, ctx).tolist()
-            for _ in range(15):
-                have = tuple(sorted(rng.choice(20, k, replace=False).tolist()))
-                want = tuple(j for j in range(20) if j not in have)
-                inv = invert_matrix([gen[j] for j in have], ctx.q)
-                expect = [[sum(w * v for w, v in zip(gen[j], col)) % ctx.q
-                           for col in zip(*inv)] for j in want]
-                assert _line_coeffs(20, k, ctx, have, want).tolist() == expect
-
-    @pytest.mark.parametrize("ctx", FIELDS, ids=("q7", "q257", "q31", "q61"))
-    @pytest.mark.parametrize("total,k", ((4, 1), (4, 4), (6, 3), (7, 4)))
-    def test_line_coefficients_at_every_ordered_pattern(self, ctx, total, k):
-        # Every known set in every order, so the inverse's columns follow
-        # `have`; each asks for every position of the line.
-        gen = systematic_generator(total, k, ctx).tolist()
-        for have in permutations(range(total), k):
-            inv = invert_matrix([gen[j] for j in have], ctx.q)
-            expect = [[sum(w * v for w, v in zip(row, col)) % ctx.q for col in zip(*inv)]
-                      for row in gen]
-            assert _line_coeffs(total, k, ctx, have, tuple(range(total))).tolist() == expect
-
     def test_a_repeated_known_position_is_singular(self):
         with pytest.raises(InvalidParameters):
             _line_coeffs(5, 2, BIG, (1, 1), (0,))
 
     @pytest.mark.parametrize("q", (7, 257, 2**31 - 1, 2**61 - 1, 2**62 - 57))
     def test_interpolation_weights_match_lagrange_weight_matrix(self, q):
-        # K = 1..17, then both sides of each product-tree level up to 256,
-        # at points packed near 0 and, where q allows, anywhere in F_q; up
-        # to K = 17 also spread over 16K.
+        # K = 1..17 at worker indices packed near 0 and spread over 16K,
+        # then sizes up to 256 at packed indices.
         ctx = FieldCtx(q)
         rng = np.random.default_rng(q % 1000)
         sizes = [k for k in (*range(1, 18), 31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256)
                  if k <= q]
         for k in sizes:
-            for span in (k + 2, q) if k > 17 else (k + 2, 16 * k + 16, q):
+            for span in (k + 2,) if k > 17 else (k + 2, 16 * k + 16):
                 xs = rng.choice(min(span, q), k, replace=False).tolist()
                 got = schemes._interpolation_weights_of(tuple(xs), ctx)
                 assert got.tolist() == lagrange_weight_matrix(xs, ctx), (k, span)
