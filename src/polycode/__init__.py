@@ -10,8 +10,7 @@ from .errors import (
     PolycodeError,
     RangeOverflow,
 )
-from .field import (DEFAULT_Q, FieldCtx, Poly, bw_decode, check_embedding_bound, embed_reals,
-                    interpolate, unembed_reals)
+from .field import DEFAULT_Q, FieldCtx, Poly, bw_decode, check_embedding_bound, embed_reals, unembed_reals
 from .matrixcore import FMatrix, ProblemShape, lincomb, split_cols, transpose_mul
 from .schemes import (
     Mds1dScheme,

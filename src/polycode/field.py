@@ -1,4 +1,4 @@
-"""Prime-field arithmetic, polynomial interpolation, and Reed-Solomon decoding.
+"""Prime-field arithmetic and Reed-Solomon decoding.
 
 The modulus is a prime q < 2**62. Scalar field elements here are Python ints
 kept canonical in [0, q), so scalar products are exact; callers must pass
@@ -9,8 +9,8 @@ Matrices of field elements are int64 arrays, multiplied exactly by
 Reed-Solomon decoding with errors solves Gao's key equation (S. Gao, "A new
 algorithm for decoding Reed-Solomon codes", 2003): one interpolation through
 all N points, then a partial extended Euclid against prod (x - x_i), O(N^2)
-operations in all. `bw_decode` decodes one word; `schemes` runs the same core
-on the stacked interpolants of a whole result block.
+operations in all. `schemes._rs_decode` runs it on the stacked interpolants
+of a whole result block, and `bw_decode` on one word.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import operator
 from dataclasses import dataclass
 
 from .errors import (
-    DecodingFailure,
     DivisionByZero,
     DuplicateEvaluationPoint,
     InvalidParameters,
@@ -182,8 +181,7 @@ def lagrange_weight_matrix(xs: list, ctx: FieldCtx) -> list:
 
     Column i holds the coefficients of the Lagrange basis polynomial for x_i,
     computed by synthetic division of the master polynomial: O(k^2) total.
-    The same weights decode block-valued interpolation (linear combinations of
-    worker result matrices), so they are computed once per point set.
+    The scalar statement of `schemes._interpolation_weights`.
     """
     _check_distinct(xs, ctx)
     q = ctx.q
@@ -204,16 +202,6 @@ def lagrange_weight_matrix(xs: list, ctx: FieldCtx) -> list:
         for d in range(k):
             w[d][i] = num[d] * scale % q
     return w
-
-
-def interpolate(points: list, ctx: FieldCtx) -> Poly:
-    """Unique polynomial of degree < len(points) through all (x, y) pairs."""
-    xs, ys = _points(points, ctx.q)
-    if not xs:
-        raise InvalidParameters("interpolation needs at least one point")
-    w = lagrange_weight_matrix(xs, ctx)
-    coeffs = tuple(sum(wi * yi for wi, yi in zip(row, ys)) % ctx.q for row in w)
-    return Poly(coeffs)
 
 
 def _row_reduce(rows: list, ncols: int, q: int) -> list:
@@ -299,11 +287,20 @@ def _key_equation(master, interpolant: list, k: int, e: int, q: int):
 
     `master` is M = prod (x - x_i) over the n distinct points, of degree n,
     and `interpolant` the coefficients of R, the interpolant through them of
-    degree < n, both lowest degree first and in [0, q); 2e <= n - k. The
-    extended Euclid on (M, R) keeps r_j = u_j M + v_j R and stops at the
-    first remainder of degree < n - e (see `bw_decode`). P is r_j / v_j when
-    v_j divides r_j and the quotient has degree < k. P is padded to k
-    coefficients; neither argument is modified.
+    degree < n, both lowest degree first and in [0, q); 2e <= n - k. P is
+    padded to k coefficients; neither argument is modified.
+
+    It runs in O(n^2). The extended Euclid on (M, R) keeps
+    r_j = u_j M + v_j R, with deg v_j = n - deg r_(j-1), and stops at the
+    first remainder of degree < n - e; so deg v_j <= e. If v_j divides r_j
+    and P = r_j / v_j has degree < k, P is returned. It agrees with at least
+    n - e points: M vanishes at every x_i, so v_j(x_i) P(x_i) = r_j(x_i) =
+    v_j(x_i) y_i, and P(x_i) = y_i wherever v_j(x_i) != 0, which fails at
+    most deg v_j <= e times. Conversely, if such a P exists, let E be the
+    locator of the points where it disagrees: E P = E R mod M, with
+    deg E <= e, deg EP < k + e <= n - e and deg EP + deg E < n. Such a pair
+    is a polynomial multiple of (r_j, v_j) (Gao, 2003), so r_j / v_j = P
+    and nothing is missed.
     """
     stop = len(master) - 1 - e
     r0, r1 = master, _trim(list(interpolant))
@@ -331,38 +328,25 @@ def bw_decode(points: list, degree_bound: int, max_errors: int, ctx: FieldCtx) -
     DecodingFailure when no such polynomial exists. So up to max_errors
     corrupted values are corrected and up to N - degree_bound - max_errors
     are detected; more can land within max_errors of another polynomial,
-    which is then returned. The counts must be integers and the points pairs
-    of integers (InvalidParameters), with distinct x
-    (DuplicateEvaluationPoint).
-
-    It solves Gao's key equation in O(N^2). With k = degree_bound,
-    e = max_errors and 2e <= N - k, R interpolates the N points and
-    M = prod (x - x_i). The extended Euclid on (M, R) keeps
-    r_j = u_j M + v_j R, with deg v_j = N - deg r_(j-1), and stops at the
-    first remainder of degree < N - e; so deg v_j <= e. If v_j divides r_j
-    and P = r_j / v_j has degree < k, P is returned. It agrees with at least
-    N - e points: M vanishes at every x_i, so v_j(x_i) P(x_i) = r_j(x_i) =
-    v_j(x_i) y_i, and P(x_i) = y_i wherever v_j(x_i) != 0, which fails at
-    most deg v_j <= e times. Conversely, if such a P exists, let E be the
-    locator of the points where it disagrees: E P = E R mod M, with
-    deg E <= e, deg EP < k + e <= N - e and deg EP + deg E < N. Such a pair
-    is a polynomial multiple of (r_j, v_j) (Gao, 2003), so r_j / v_j = P
-    and nothing is missed.
+    which is then returned. With max_errors 0 and degree_bound N it is
+    interpolation through all N points. The counts must be integers with 1 <= degree_bound and
+    2 max_errors <= N - degree_bound, and the points pairs of integers
+    (InvalidParameters), with distinct x (DuplicateEvaluationPoint). The
+    word is one column of `schemes._rs_decode`, the block decoder.
     """
-    q = ctx.q
+    import numpy as np
+
+    from .schemes import _rs_decode
+
     k = as_int(degree_bound, "degree_bound")
     e = as_int(max_errors, "max_errors")
-    xs, ys = _points(points, q)
-    n = len(xs)
+    xs, ys = _points(points, ctx.q)
     if k < 1 or e < 0:
         raise InvalidParameters("degree bound must be >= 1 and max_errors >= 0")
-    if 2 * e > n - k:
-        raise InvalidParameters(f"2e = {2 * e} exceeds N - k = {n - k}")
-    interpolant = interpolate(list(zip(xs, ys)), ctx).coeffs
-    found = _key_equation(_master(xs, q), interpolant, k, e, q)
-    if found is None:
-        raise DecodingFailure(f"no polynomial of degree < {k} agrees with {n - e} of {n} points")
-    return Poly(tuple(found[0]))
+    if 2 * e > len(xs) - k:
+        raise InvalidParameters(f"2e = {2 * e} exceeds N - k = {len(xs) - k}")
+    coeffs = _rs_decode(xs, np.array(ys, dtype=np.int64).reshape(-1, 1), k, e, ctx)
+    return Poly(tuple(coeffs[:, 0].tolist()))
 
 
 def check_embedding_bound(s: int, max_a: float, max_b: float, precision_bits: int, ctx: FieldCtx) -> None:

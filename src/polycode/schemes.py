@@ -188,7 +188,7 @@ def _hankel_index(k: int) -> np.ndarray:
 
 def _interpolation_weights(xs, ctx: FieldCtx) -> np.ndarray:
     """Weights W with coeffs[d] = sum_i W[d][i] * y_i for interpolation at
-    the points xs, the `lagrange_weight_matrix`, as an int64 array built once
+    the points xs, the Lagrange weights, as an int64 array built once
     per (points, field) and read-only. Repeated points raise
     DuplicateEvaluationPoint on every call."""
     return _interpolation_weights_of(tuple(map(operator.index, xs)), ctx)
@@ -305,6 +305,31 @@ def _entrywise_decode(interp: np.ndarray, master: tuple, k: int, t: int, q: int)
             raise DecodingFailure(f"an entry has no codeword within distance {t}")
         coeffs.append(found[0])
     return np.array(coeffs, dtype=np.int64).T
+
+
+def _rs_decode(xs: list, received: np.ndarray, k: int, t: int, ctx: FieldCtx) -> np.ndarray:
+    """Reed-Solomon decoding of an interleaved word: the k x E coefficients,
+    lowest degree first, of the polynomials of degree < k that agree with
+    each column of the n x E array `received` at n - t or more of the
+    distinct points xs, for 1 <= k and 2t <= n - k; DecodingFailure if some
+    column has none, DuplicateEvaluationPoint for a repeated point.
+
+    All n rows are interpolated at once, one weight product giving every
+    column's interpolant. If none has degree k or more, no row erred.
+    Otherwise the errors sit at the faulty workers, each of which corrupts
+    its whole row, so all columns share one set of error positions: the
+    faulty rows are located once, by Gao's key equation on a random fold of
+    the interpolants, and the columns decoded together
+    (`_interleaved_decode`). The key equation runs column by column only
+    when that result fails its check.
+    """
+    q = ctx.q
+    interp = mulmod(_interpolation_weights(xs, ctx), received, q)
+    if not interp[k:].any():
+        return interp[:k]
+    master = _master_of(tuple(xs), q)
+    coeffs = _interleaved_decode(xs, received, interp, master, k, t, ctx)
+    return _entrywise_decode(interp, master, k, t, q) if coeffs is None else coeffs
 
 
 class Scheme:
@@ -486,47 +511,32 @@ class PolyScheme(Scheme):
     def decode_with_errors(
         self, results: list, shares: list, shape: ProblemShape, max_errors: int = None
     ) -> FMatrix:
-        """Decode from all N results when up to t = `max_errors` are wrong.
+        """Decode from any n >= K distinct results when up to t =
+        `max_errors` of them are wrong (errors and erasures).
 
-        Each output entry is a Reed-Solomon codeword of length N and dimension
-        K = required_results. It decodes to the unique polynomial of degree
-        < K that agrees with at least N - t workers, the one `bw_decode` of
-        that entry returns; DecodingFailure is raised when some entry has
-        none. t defaults to floor((N - K)/2), the largest value allowed; a t
-        that is not an integer in [0, floor((N - K)/2)] raises
-        InvalidParameters.
+        Each output entry is a Reed-Solomon codeword of dimension K =
+        required_results, read at the n workers that answered. It decodes to
+        the unique polynomial of degree < K that agrees with at least n - t of
+        them, the one `bw_decode` of that entry returns; DecodingFailure is
+        raised when some entry has none. t defaults to floor((n - K)/2), the
+        largest value allowed; a t that is not an integer in
+        [0, floor((n - K)/2)] raises InvalidParameters. Fewer than K distinct
+        results raise NotEnoughResults.
 
-        Up to t wrong workers are corrected, and up to N - K - t are detected
-        (DecodingFailure). More than N - K - t coordinated faults can put the
-        received word within t of a wrong codeword, which is then returned
-        silently. t = 0 is pure detection of up to N - K faulty workers.
-
-        All N results are interpolated at once, one weight product giving
-        every entry's interpolant. If none has degree K or more, no worker
-        erred. Otherwise a faulty worker corrupts its whole block, so all
-        entries share one set of error positions: the faulty workers are
-        located once, by Gao's key equation on a random fold of the
-        interpolants, and the entries decoded together
-        (`_interleaved_decode`). The key equation runs entry by entry only
-        when that result fails its check.
+        Up to t wrong workers are corrected, and up to n - K - t are detected
+        (DecodingFailure): any K + 2t results correct t faults. More than
+        n - K - t coordinated faults can put the received word within t of a
+        wrong codeword, which is then returned silently. t = 0 is pure
+        detection of up to n - K faulty workers. See `_rs_decode`.
         """
         ids, blocks = self._select(results, shares, shape)
-        if len(ids) != shape.N:
-            raise NotEnoughResults("error decoding needs results from all N workers")
         k = self.required_results(shape)
-        radius = (shape.N - k) // 2
+        radius = (len(ids) - k) // 2
         t = radius if max_errors is None else as_int(max_errors, "max_errors")
         if not 0 <= t <= radius:
-            raise InvalidParameters(f"max_errors={t} is outside [0, (N - K)/2 = {radius}]")
-        q = self.ctx.q
-        received = blocks.reshape(len(ids), -1)  # worker i's point is i
-        interp = mulmod(_interpolation_weights(ids, self.ctx), received, q)
-        coeffs = interp[:k]
-        if interp[k:].any():
-            master = _master_of(tuple(ids), q)
-            coeffs = _interleaved_decode(ids, received, interp, master, k, t, self.ctx)
-            if coeffs is None:
-                coeffs = _entrywise_decode(interp, master, k, t, q)
+            raise InvalidParameters(f"max_errors={t} is outside [0, (n - K)/2 = {radius}]")
+        # Worker i's point is i.
+        coeffs = _rs_decode(ids, blocks.reshape(len(ids), -1), k, t, self.ctx)
         exps = [j + k * shape.m for j in range(shape.m) for k in range(shape.n)]
         return _assemble(coeffs[exps], shape, self.ctx)
 

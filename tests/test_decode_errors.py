@@ -1,6 +1,6 @@
 """PolyScheme.decode_with_errors against the entry-by-entry Berlekamp-Welch
 reference (`bw_reference`, one linear solve per entry), under adversarial
-faults.
+faults, from all N results or from any K or more of them.
 
 The fault patterns are random blocks per faulty worker, one shared offset,
 faults at a different set of workers in every entry (which defeats locating
@@ -158,6 +158,41 @@ def test_matches_entrywise_reference(shape, ctx, pattern, seed, data):
         assert got == product.data.tolist()
     elif f <= shape.N - k - t:
         assert got is DecodingFailure
+
+
+# SHAPES, and N = 7 workers with K = 2 for q = 7.
+SUBSET_SHAPES = SHAPES + (ProblemShape(s=4, r=2, t=4, m=1, n=2, N=7),)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    q=st.sampled_from((7, 257, 2**31 - 1, 2**61 - 1)),
+    pattern=st.sampled_from(("random", "offset", "per_entry")),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_any_k_plus_2t_results_correct_t_faults(q, pattern, seed, data):
+    # Errors and erasures: from any n of the N results, K <= n, the default
+    # radius t = (n - K)/2 corrects f <= t faulty workers and detects
+    # t < f <= n - K - t of them.
+    ctx = FieldCtx(q)
+    shape = data.draw(st.sampled_from([s for s in SUBSET_SHAPES if s.N <= q]), label="shape")
+    scheme = PolyScheme(ctx)
+    k = scheme.required_results(shape)
+    n = data.draw(st.integers(k, shape.N), label="n")
+    t = (n - k) // 2
+    f = data.draw(st.integers(0, n - k - t), label="f")
+    rng = np.random.default_rng(seed)
+    shares, results, product = instance(scheme, shape, rng)
+    kept = rng.choice(shape.N, size=n, replace=False).tolist()
+    sent = corrupt([results[i] for i in kept], pattern, f, t, k, kept, ctx, rng)
+    # A random block can hit an entry's true value, most often at q = 7: an
+    # entry errs at the workers whose value there differs.
+    wrong = sum(r.c_tilde.data != results[i].c_tilde.data for r, i in zip(sent, kept)).max()
+    assert wrong == f or pattern == "random"
+
+    got = outcome(lambda: scheme.decode_with_errors(sent, shares, shape))
+    assert got == (product.data.tolist() if wrong <= t else DecodingFailure)
 
 
 def count_calls(monkeypatch, name):

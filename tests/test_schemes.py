@@ -189,20 +189,25 @@ class TestPolyErrors:
         with pytest.raises(DecodingFailure):
             scheme.decode_with_errors(results, shares, self.shape12)
 
-    def test_needs_all_workers(self):
-        a, b, _ = make_instance(self.shape12, BIG)
+    def test_needs_k_distinct_results(self):
+        # Any K = 4 distinct results decode; 3, even with a repeat, do not.
+        a, b, oracle = make_instance(self.shape12, BIG)
         scheme = PolyScheme(BIG)
         shares, results = all_results(scheme, a, b, self.shape12)
+        assert scheme.decode_with_errors(results[5:9], shares, self.shape12) == oracle
         with pytest.raises(NotEnoughResults):
-            scheme.decode_with_errors(results[:11], shares, self.shape12)
+            scheme.decode_with_errors(results[:3] + [results[1]], shares, self.shape12)
 
     def test_unknown_id_is_not_a_worker(self):
-        a, b, _ = make_instance(self.shape12, BIG)
+        a, b, oracle = make_instance(self.shape12, BIG)
         scheme = PolyScheme(BIG)
         shares, results = all_results(scheme, a, b, self.shape12)
-        stray = WorkerResult(99, results[0].c_tilde)
+        stray = WorkerResult(99, FMatrix((results[0].c_tilde.data + 1) % BIG.q, BIG))
         with pytest.raises(NotEnoughResults):
-            scheme.decode_with_errors(results[:11] + [stray], shares, self.shape12)
+            scheme.decode_with_errors(results[:3] + [stray], shares, self.shape12)
+        # Read as a worker, the stray's wrong block would fail pure detection.
+        got = scheme.decode_with_errors(results[:11] + [stray], shares, self.shape12, max_errors=0)
+        assert got == oracle
 
     def test_duplicated_result_is_ignored(self):
         a, b, oracle = make_instance(self.shape12, BIG)
@@ -580,9 +585,9 @@ def test_decode_keeps_the_first_result_of_each_known_worker(name, q, data):
         try:
             got = scheme.decode_with_errors(sent, shares, shape)
         except PolycodeError as exc:
-            assert isinstance(exc, NotEnoughResults) and len(distinct) < total
+            assert isinstance(exc, NotEnoughResults) and not scheme.decodable(distinct, shape)
         else:
-            assert len(distinct) == total and got == oracle
+            assert scheme.decodable(distinct, shape) and got == oracle
 
 
 @settings(deadline=None, max_examples=300)
