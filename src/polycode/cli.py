@@ -35,27 +35,23 @@ from .matrixcore import FMatrix, ProblemShape, load_matrix, transpose_mul
 from .schemes import SCHEME_NAMES, get_scheme, threshold_table
 from .sim import LatencyModel, dominance_check
 
-ENV_Q = "POLYCODE_Q"
-
-
-def _default_q() -> int:
-    value = os.environ.get(ENV_Q, DEFAULT_Q)
-    try:
-        return int(value)
-    except ValueError:
-        raise InvalidParameters(f"{ENV_Q} must be an integer, got {value!r}") from None
-
 
 def _parse_range(spec: str) -> list:
-    """`400` or `100..500` or `100..500:50`."""
-    step = 1
-    if ":" in spec:
-        spec, step_s = spec.split(":", 1)
-        step = int(step_s)
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1, step))
-    return [int(spec)]
+    """`400` or `100..500` or `100..500:50`: a nonempty list, or
+    InvalidParameters naming the spec."""
+    bounds, colon, step = spec.partition(":")
+    lo, dots, hi = bounds.partition("..")
+    try:
+        lo = int(lo)
+        hi = int(hi) if dots else lo
+        step = int(step) if colon else 1
+    except ValueError:
+        raise InvalidParameters(f"N range {spec!r}: bounds and step must be integers") from None
+    if step < 1:
+        raise InvalidParameters(f"N range {spec!r}: step must be at least 1")
+    if hi < lo:
+        raise InvalidParameters(f"N range {spec!r} is empty")
+    return list(range(lo, hi + 1, step))
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -230,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, formats=(), seed=True):
         """The shared options a command reads: formats[0] is the default."""
-        p.add_argument("--q", type=int, default=_default_q(), help="prime field modulus")
+        p.add_argument("--q", type=int, default=DEFAULT_Q, help="prime field modulus")
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if formats:
@@ -297,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # Built inside the try, as the --q default reads POLYCODE_Q.
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error

@@ -159,7 +159,6 @@ def run(
     seed: int = 0,
     base_model: LatencyModel = None,
     clock: str = "virtual",
-    time_scale: float = 1.0,
 ):
     """Execute one coded multiplication and return (C, RunReport).
 
@@ -170,17 +169,16 @@ def run(
     before any share is encoded. On the virtual clock the times are virtual
     seconds, only the workers in that prefix are encoded and compute, and
     `decode_time` is modeled. On the threads clock every share is encoded,
-    and each worker runs on a pool thread and waits until `time_scale` times
-    its sampled time before computing; every time in the report is then
-    measured, and once the master can decode, workers still waiting return
-    without computing. A worker that raises is an erasure. Every thread is
+    and each worker runs on a pool thread and waits out its sampled time, in
+    seconds, before computing; every time in the report is then measured,
+    and once the master can decode, workers still waiting return without
+    computing (short waits come from a scaled `base_model` or `per_worker`
+    delays). A worker that raises is an erasure. Every thread is
     joined before `run` returns or raises. HarnessTimeout is raised when all
     workers have finished without a decodable set, or after 60 s of threads.
     """
     if clock not in ("virtual", "threads"):
         raise InvalidParameters(f"unknown clock mode {clock!r}")
-    if not 0 <= time_scale < math.inf:
-        raise InvalidParameters("time_scale must be finite and >= 0")
     if not isinstance(plan, StragglerPlan):
         raise InvalidParameters(f"plan is a {type(plan).__name__}, not a StragglerPlan")
     base_model = LatencyModel() if base_model is None else base_model
@@ -212,7 +210,7 @@ def run(
     else:
         shares = scheme.encode(a, b, shape)
         results, responders, arrival_times = [], [], []
-        with closing(_thread_arrivals(shares, worker_times * time_scale)) as arrivals:
+        with closing(_thread_arrivals(shares, worker_times)) as arrivals:
             for i, result, fire in arrivals:
                 results.append(result)
                 responders.append(i)

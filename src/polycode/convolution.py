@@ -157,6 +157,4 @@ def conv_thresholds(m: int, n: int, big_n: int) -> dict:
     }
     if big_n % n == 0 and big_n // n >= m:
         out["coded_conv_baseline"] = big_n - big_n // n + m
-    # Factor-2 guarantee: the lower bound always exceeds half the achieved threshold.
-    assert out["lower_bound"] > out["conv_poly"] / 2
     return out

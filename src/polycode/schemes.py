@@ -381,21 +381,15 @@ class Scheme:
         if b.rows != shape.s or b.cols != shape.t:
             raise InvalidParameters(f"B is {b.rows}x{b.cols}, shape wants {shape.s}x{shape.t}")
 
-    def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape, ids=None) -> list:
-        """The shares of the workers `ids` (default: all num_shares), in that
-        order, after `check_inputs`. An id outside range(num_shares) raises
-        InvalidParameters."""
+    def encode(self, a: FMatrix, b: FMatrix, shape: ProblemShape) -> list:
+        """Every worker's share, in worker order, after `check_inputs`."""
         self.check_inputs(a, b, shape)
         placement = self._layout(shape)[2]
-        total = len(placement)
-        ids = range(total) if ids is None else [as_int(i, "worker id") for i in ids]
-        if not all(0 <= i < total for i in ids):
-            raise InvalidParameters(f"worker ids must lie in [0, {total})")
-        a_coded, b_coded = self._stacks(a, b, shape, ids)
+        a_coded, b_coded = self._stacks(a, b, shape, range(len(placement)))
         return [
             WorkerShare(i, FMatrix(at, self.ctx, _canonical=True),
                         FMatrix(bt, self.ctx, _canonical=True), placement[i][2])
-            for i, at, bt in zip(ids, a_coded, b_coded)
+            for i, (at, bt) in enumerate(zip(a_coded, b_coded))
         ]
 
     def _stacks(self, a: FMatrix, b: FMatrix, shape: ProblemShape, ids) -> tuple:

@@ -25,36 +25,36 @@ CCDF_GRID_POINTS = 200
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """iid per-worker completion-time model."""
+    """iid per-worker completion-time model.
+
+    kinds:
+      shifted_exponential -- `shift` plus an exponential time of rate `rate`
+      deterministic       -- every worker takes `value`
+    """
 
     kind: str = "shifted_exponential"
     shift: float = 1.0
     rate: float = 1.0
     value: float = 1.0
-    samples: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("shifted_exponential", "deterministic", "empirical"):
+        if self.kind not in ("shifted_exponential", "deterministic"):
             raise InvalidModelParams(f"unknown latency model kind {self.kind!r}")
         # Every field is checked, whatever the kind, and must be finite;
         # `not 0 <= v < inf` also rejects NaN, and raises TypeError for a value
         # that is not a real number.
         try:
-            times = (self.shift, self.value, *self.samples)
-            if not (0 < self.rate < math.inf and all(0 <= v < math.inf for v in times)):
-                raise InvalidModelParams("need finite shift, value and samples >= 0 and rate > 0")
+            if not (0 < self.rate < math.inf and 0 <= self.shift < math.inf
+                    and 0 <= self.value < math.inf):
+                raise InvalidModelParams("need finite shift and value >= 0 and rate > 0")
         except TypeError:
             raise InvalidModelParams("latency model parameters must be real numbers") from None
-        if self.kind == "empirical" and len(self.samples) == 0:
-            raise InvalidModelParams("empirical model needs at least one sample")
 
     def sample(self, size, rng: np.random.Generator) -> np.ndarray:
         """Completion times of the given array size (an int or a shape)."""
         if self.kind == "shifted_exponential":
             return self.shift + rng.exponential(1.0 / self.rate, size=size)
-        if self.kind == "deterministic":
-            return np.full(size, float(self.value))
-        return rng.choice(np.asarray(self.samples, dtype=float), size=size, replace=True)
+        return np.full(size, float(self.value))
 
 
 def sample_latency(model: LatencyModel, n: int, seed: int, trials: int) -> np.ndarray:

@@ -24,6 +24,9 @@ from recovery import arrival_cut
 from test_decode_errors import shared_offset
 
 BIG = FieldCtx()
+# The default model scaled to hundredths of a second: the threads clock waits
+# each worker's sampled time.
+FAST = LatencyModel(shift=0.01, rate=100.0)
 
 
 def make_instance(shape, seed=0):
@@ -132,13 +135,6 @@ class TestVirtualRuns:
         with pytest.raises(InvalidParameters):
             run(PolyScheme(BIG), a, b, SHAPE5, clock="sundial")
 
-    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
-    @pytest.mark.parametrize("clock", ["virtual", "threads"])
-    def test_bad_time_scale_rejected(self, clock, scale):
-        a, b, _ = make_instance(SHAPE5)
-        with pytest.raises(InvalidParameters):
-            run(PolyScheme(BIG), a, b, SHAPE5, clock=clock, time_scale=scale)
-
 
 @st.composite
 def scheme_shapes(draw):
@@ -210,6 +206,7 @@ class TestVirtualCut:
     def test_encode_builds_only_the_responders_rows(self, name, clock, monkeypatch):
         # Poly decodes from the 4 fastest of 16 workers: the virtual clock
         # builds those 4 rows of each generator, the threads clock all 16.
+        # Delays in milliseconds keep the threads clock's waits short.
         shape = ProblemShape(s=8, r=4, t=4, m=2, n=2, N=16)
         scheme = get_scheme(name, BIG)
         built, encoding, stacks, mulmod = [], [], scheme._stacks, schemes.mulmod
@@ -229,8 +226,8 @@ class TestVirtualCut:
         monkeypatch.setattr(scheme, "_stacks", encode_stacks)
         monkeypatch.setattr(schemes, "mulmod", logged)
         a, b, oracle = make_instance(shape)
-        plan = StragglerPlan(mode="per_worker", delays=tuple(map(float, self.DELAYS)))
-        c, rep = run(scheme, a, b, shape, plan=plan, clock=clock, time_scale=0)
+        plan = StragglerPlan(mode="per_worker", delays=tuple(d * 1e-3 for d in self.DELAYS))
+        c, rep = run(scheme, a, b, shape, plan=plan, clock=clock)
         encoded = rep.responders if clock == "virtual" else range(scheme.num_shares(shape))
         gen_a, gen_b, placement = scheme._layout(shape)
         want = [sorted({tuple(gen[placement[i][side]].tolist()) for i in encoded})
@@ -279,18 +276,16 @@ class TestInputChecks:
         monkeypatch.setattr(matrixcore, "mulmod", forbidden)
         for pair in ((a, b), (a7, b), (a, b7)):
             with pytest.raises(ShapeMismatch):
-                run(scheme, *pair, self.SHAPE, clock=clock, time_scale=0)
+                run(scheme, *pair, self.SHAPE, clock=clock)
         with pytest.raises(InvalidParameters):
-            run(scheme, FMatrix(a7.data[:, :2], f7), b7, self.SHAPE, clock=clock, time_scale=0)
+            run(scheme, FMatrix(a7.data[:, :2], f7), b7, self.SHAPE, clock=clock)
 
 
 class TestThreadsClock:
     def test_small_real_run_matches_oracle(self):
         shape = ProblemShape(s=4, r=2, t=2, m=2, n=1, N=3)
         a, b, oracle = make_instance(shape)
-        c, rep = run(
-            PolyScheme(BIG), a, b, shape, seed=1, clock="threads", time_scale=0.01
-        )
+        c, rep = run(PolyScheme(BIG), a, b, shape, seed=1, base_model=FAST, clock="threads")
         assert c == oracle
         assert rep.wall_latency > 0 and rep.decode_time >= 0
         assert len(rep.responders) >= 2
@@ -314,7 +309,7 @@ class TestThreadsClock:
         workers.fail.add(0)
         a, b, oracle = make_instance(SHAPE5)
         before = threading.active_count()
-        c, rep = run(PolyScheme(BIG), a, b, SHAPE5, seed=2, clock="threads", time_scale=0.01)
+        c, rep = run(PolyScheme(BIG), a, b, SHAPE5, seed=2, base_model=FAST, clock="threads")
         assert c == oracle
         assert sorted(rep.responders) == [1, 2, 3, 4]
         assert threading.active_count() == before
@@ -326,7 +321,7 @@ class TestThreadsClock:
         before = threading.active_count()
         start = time.perf_counter()
         with pytest.raises(HarnessTimeout):
-            run(UncodedScheme(BIG), a, b, shape, seed=2, clock="threads", time_scale=0.01)
+            run(UncodedScheme(BIG), a, b, shape, seed=2, base_model=FAST, clock="threads")
         assert time.perf_counter() - start < 5.0
         assert threading.active_count() == before
 
@@ -335,7 +330,7 @@ class TestThreadsClock:
         plan = StragglerPlan(mode="per_worker", delays=(0.01, 0.02, 0.03, 0.04, 30.0))
         before = threading.active_count()
         start = time.perf_counter()
-        c, rep = run(PolyScheme(BIG), a, b, SHAPE5, plan=plan, clock="threads", time_scale=1)
+        c, rep = run(PolyScheme(BIG), a, b, SHAPE5, plan=plan, clock="threads")
         assert time.perf_counter() - start < 5.0
         assert c == oracle and rep.responders == [0, 1, 2, 3]
         assert threading.active_count() == before
@@ -354,7 +349,8 @@ class TestThreadsClock:
 
         monkeypatch.setattr(cluster, "worker_compute", counted)
         before = threading.active_count()
-        c, rep = run(PolyScheme(BIG), a, b, shape, seed=3, clock="threads", time_scale=0.001)
+        model = LatencyModel(shift=0.001, rate=1000.0)
+        c, rep = run(PolyScheme(BIG), a, b, shape, seed=3, base_model=model, clock="threads")
         assert c == oracle and len(seen) == 64
         assert max(seen) <= before + min(64, os.cpu_count() or 2)
         assert threading.active_count() == before

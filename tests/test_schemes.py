@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from polycode.errors import (
     InvalidGrid,
-    InvalidParameters,
     NonDivisibleGroups,
     NotDecodable,
     NotEnoughResults,
@@ -290,7 +289,6 @@ class TestComputeShares:
             a_coded, b_coded = scheme._stacks(a, b, shape, [])
             assert a_coded.shape == (0, shape.s, shape.block_rows)
             assert b_coded.shape == (0, shape.s, shape.block_cols)
-            assert scheme.encode(a, b, shape, []) == []
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -307,12 +305,12 @@ class TestComputeShares:
         delays = data.draw(st.lists(st.integers(0, 4), min_size=shape.N, max_size=shape.N))
         plan = StragglerPlan(mode="per_worker", delays=tuple(map(float, delays)))
         c, rep = run(scheme, a, b, shape, plan=plan)
-        shares = scheme.encode(a, b, shape, rep.responders)
+        full = scheme.encode(a, b, shape)
+        shares = [full[i] for i in rep.responders]
         assert c == scheme.decode([worker_compute(sh) for sh in shares], shares, shape) == oracle
 
         # Any ids, repeated and unordered: the stacks hold the full encode's
         # blocks of those workers, in that order.
-        full = scheme.encode(a, b, shape)
         ids = data.draw(st.lists(st.integers(0, len(full) - 1), max_size=12))
         a_coded, b_coded = scheme._stacks(a, b, shape, ids)
         assert a_coded.shape == (len(ids), shape.s, shape.block_rows)
@@ -331,27 +329,17 @@ class TestSubsetEncode:
         data=st.data(),
     )
     def test_equals_the_full_encode_at_the_ids(self, name, ctx, data):
+        # The virtual clock encodes only its responders: a worker's blocks
+        # must not depend on which other ids are asked for.
         shape = self.SHAPES[name]
         scheme = get_scheme(name, ctx)
         a, b, _ = make_instance(shape, ctx, seed=data.draw(st.integers(0, 99)))
         full = scheme.encode(a, b, shape)
         subset = data.draw(st.sets(st.integers(0, len(full) - 1)))
         ids = data.draw(st.permutations(sorted(subset)))
-        shares = scheme.encode(a, b, shape, ids)
-        assert [sh.worker_id for sh in shares] == ids
-        for sh, want in zip(shares, [full[i] for i in ids]):
-            assert sh.a_tilde == want.a_tilde and sh.b_tilde == want.b_tilde
-            assert sh.x == want.x
-
-    @pytest.mark.parametrize("name", SCHEME_NAMES)
-    def test_ids_of_no_worker_raise(self, name):
-        shape = self.SHAPES[name]
-        scheme = get_scheme(name, BIG)
-        a, b, _ = make_instance(shape, BIG)
-        total = scheme.num_shares(shape)
-        for ids in ([-1], [total], [0, total + 3], [1.0]):
-            with pytest.raises(InvalidParameters):
-                scheme.encode(a, b, shape, ids)
+        a_coded, b_coded = scheme._stacks(a, b, shape, ids)
+        for i, at, bt in zip(ids, a_coded, b_coded, strict=True):
+            assert full[i].a_tilde == FMatrix(at, ctx) and full[i].b_tilde == FMatrix(bt, ctx)
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
     def test_inputs_over_another_field_raise(self, name):

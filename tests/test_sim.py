@@ -32,12 +32,9 @@ from polycode.sim import (
 from recovery import latency_ref
 
 BIG = FieldCtx()
-# One model of each kind; the empirical and deterministic ones give ties.
-MODELS = (
-    LatencyModel(),
-    LatencyModel(kind="empirical", samples=(1.0, 2.0, 2.0, 5.0)),
-    LatencyModel(kind="deterministic", value=3.0),
-)
+# One model of each kind; the deterministic one ties every worker. The
+# latency tests also round times up to whole numbers, which ties some.
+MODELS = (LatencyModel(), LatencyModel(kind="deterministic", value=3.0))
 
 
 def per_row(scheme, shape, samples):
@@ -69,16 +66,6 @@ class TestLatencyModel:
         assert samples.min() >= 1.0
         assert abs(samples.mean() - 2.0) < 0.05
 
-    def test_empirical_resamples_support(self):
-        model = LatencyModel(kind="empirical", samples=(1.0, 3.0))
-        rng = np.random.default_rng(2)
-        drawn = set(model.sample(200, rng))
-        assert drawn == {1.0, 3.0}
-
-    def test_empirical_samples_may_be_an_array(self):
-        model = LatencyModel(kind="empirical", samples=np.array([1.0, 3.0]))
-        assert set(model.sample(200, np.random.default_rng(2))) == {1.0, 3.0}
-
     def test_seed_reproducibility(self):
         a = sample_latency(LatencyModel(), 5, seed=9, trials=50)
         b = sample_latency(LatencyModel(), 5, seed=9, trials=50)
@@ -89,10 +76,9 @@ class TestLatencyModel:
             LatencyModel(kind="shifted_exponential", rate=0.0)
         with pytest.raises(InvalidModelParams):
             LatencyModel(kind="deterministic", value=-1.0)
-        with pytest.raises(InvalidModelParams):
-            LatencyModel(kind="empirical", samples=())
-        with pytest.raises(InvalidModelParams):
-            LatencyModel(kind="uniform")
+        for kind in ("uniform", "empirical"):
+            with pytest.raises(InvalidModelParams):
+                LatencyModel(kind=kind)
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf))
     def test_shifted_exponential_rejects_non_finite(self, bad):
@@ -106,17 +92,11 @@ class TestLatencyModel:
         with pytest.raises(InvalidModelParams):
             LatencyModel(kind="deterministic", value=bad)
 
-    @pytest.mark.parametrize("bad", (math.nan, math.inf))
-    def test_empirical_rejects_non_finite(self, bad):
-        with pytest.raises(InvalidModelParams):
-            LatencyModel(kind="empirical", samples=(1.0, bad))
-
 
 @pytest.mark.parametrize(
     "probe,error",
     (
         (lambda: LatencyModel(shift="a"), InvalidModelParams),
-        (lambda: LatencyModel(kind="empirical", samples=(1.0, None)), InvalidModelParams),
         (lambda: StragglerPlan("per_worker", delays=("a",)), InvalidParameters),
         (lambda: StragglerPlan("slow_random", factor="2"), InvalidParameters),
         (lambda: sample_latency(LatencyModel(), 5, 0, 2.5), InvalidParameters),
@@ -135,12 +115,11 @@ class TestLatencyModel:
         # Fields the mode or kind does not read are checked all the same.
         (lambda: StragglerPlan("none", delays=(-1.0,)), InvalidParameters),
         (lambda: LatencyModel("deterministic", rate=0), InvalidModelParams),
-        (lambda: LatencyModel(samples=(-1.0,)), InvalidModelParams),
     ),
-    ids=("model_shift", "model_samples", "plan_delays", "plan_factor", "trials", "embed_reals",
+    ids=("model_shift", "plan_delays", "plan_factor", "trials", "embed_reals",
          "unembed_reals", "unembed_truncated", "scheme_latency", "scheme_latency_batch",
          "sample_latency_model", "dominance_check_model", "run_plan", "run_base_model",
-         "unread_plan_delays", "unread_model_rate", "unread_model_samples"),
+         "unread_plan_delays", "unread_model_rate"),
 )
 def test_parameters_that_are_not_numbers_raise_typed_errors(probe, error):
     with pytest.raises(error):
@@ -342,6 +321,8 @@ def test_latency_rule_equals_scalar_path(name, model, seed, data):
     scheme.validate(shape)
     cols = data.draw(st.one_of(st.just(big_n), st.integers(0, big_n - 1)), label="cols")
     samples = sample_latency(model, big_n, seed, trials=6)[:, :cols]
+    if data.draw(st.booleans(), label="whole"):
+        samples = np.ceil(samples)
     assert batch(scheme, shape, samples) == per_row(scheme, shape, samples)
 
 
@@ -371,6 +352,8 @@ def test_product_latency_equals_parallel_peeling(model, seed, data):
     never = data.draw(st.sampled_from((0.0, 0.1, 0.4, 0.8)), label="never")
     rng = np.random.default_rng(seed)
     samples = sample_latency(model, side * side, seed, trials)
+    if data.draw(st.booleans(), label="whole"):
+        samples = np.ceil(samples)
     hit = (rng.random(samples.shape) < never) & (rng.random((trials, 1)) < 0.5)
     samples[hit] = math.inf
     before = samples.copy()
@@ -383,7 +366,7 @@ def test_product_latency_equals_parallel_peeling(model, seed, data):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    model=st.sampled_from(MODELS + (LatencyModel(kind="empirical", samples=(0.5,) * 300 + (9.0,)),)),
+    model=st.sampled_from(MODELS),
     n=st.integers(1, 70),
     trials=st.integers(1, 20),
     seed=st.integers(0, 2**32 - 1),
